@@ -1,65 +1,78 @@
 #include "src/cache/llc.h"
 
-#include <algorithm>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace vusion {
 
-Llc::Llc(const CacheConfig& config)
-    : config_(config), lines_per_page_(std::max<std::size_t>(1, kPageSize / config.line_size)) {}
-
-void Llc::AdjustFrameLines(std::uint64_t tag, int delta) {
-  const std::size_t frame = FrameOfTag(tag);
-  if (frame >= frame_lines_.size()) {
-    frame_lines_.resize(frame + 1, 0);
+const char* CacheConfig::GeometryError() const {
+  if (!std::has_single_bit(line_size)) {
+    return "line_size must be a power of two";
   }
-  frame_lines_[frame] = static_cast<std::uint16_t>(frame_lines_[frame] + delta);
+  if (line_size > kPageSize) {
+    return "line_size must not exceed the page size";
+  }
+  if (!std::has_single_bit(sets)) {
+    return "sets must be a power of two";
+  }
+  if (ways == 0) {
+    return "ways must be nonzero";
+  }
+  return nullptr;
 }
 
-bool Llc::Access(PhysAddr paddr) {
-  if (lines_.empty()) {
-    // First fill commits the line array. Machines that never issue timed
-    // accesses (common in large fleets) skip the ~3 MB allocation entirely.
-    lines_.assign(config_.sets * config_.ways, Line{});
+Llc::Llc(const CacheConfig& config) : config_(config) {
+  if (const char* error = config.GeometryError()) {
+    throw std::invalid_argument(std::string("Llc: ") + error);
   }
-  const std::uint64_t tag = paddr / config_.line_size;
-  const std::size_t set = tag % config_.sets;
-  Line* base = &lines_[set * config_.ways];
-  ++tick_;
-  Line* victim = base;
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    Line& line = base[w];
-    if (line.valid && line.tag == tag) {
-      line.lru = tick_;
-      ++hits_;
-      return true;
-    }
-    if (!line.valid) {
-      victim = &line;
-    } else if (victim->valid && line.lru < victim->lru) {
-      victim = &line;
-    }
+  line_shift_ = std::countr_zero(config.line_size);
+  set_mask_ = config.sets - 1;
+  ways_ = config.ways;
+  lines_per_page_shift_ = std::countr_zero(kPageSize / config.line_size);
+}
+
+void Llc::Fill(std::uint64_t tag) {
+  if (tags_.empty()) {
+    // First fill commits the arrays. Machines that never issue timed accesses
+    // (common in large fleets) skip the 2 MB allocation entirely.
+    tags_.assign(config_.sets * ways_, kNoTag);
+    lru_.assign(config_.sets * ways_, 0);
   }
-  if (victim->valid) {
-    AdjustFrameLines(victim->tag, -1);
+  const std::size_t base = SetBase(tag);
+  std::uint64_t* tags = tags_.data() + base;
+  std::uint64_t* lru = lru_.data() + base;
+  // One branch-free pass picks the victim: the last empty way, or else the
+  // first way with the smallest stamp. Empty ways' stale stamps take part in
+  // the minimum, but the minimum is only used when no way is empty.
+  std::size_t empty = ways_;
+  std::size_t oldest = 0;
+  std::uint64_t oldest_stamp = ~std::uint64_t{0};
+  for (std::size_t w = 0; w < ways_; ++w) {
+    empty = tags[w] == kNoTag ? w : empty;
+    const bool older = lru[w] < oldest_stamp;
+    oldest = older ? w : oldest;
+    oldest_stamp = older ? lru[w] : oldest_stamp;
   }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = tick_;
+  const std::size_t victim = empty != ways_ ? empty : oldest;
+  if (tags[victim] != kNoTag) {
+    AdjustFrameLines(tags[victim], -1);
+  }
+  tags[victim] = tag;
+  lru[victim] = ++tick_;
   AdjustFrameLines(tag, +1);
   ++misses_;
-  return false;
 }
 
 void Llc::Flush(PhysAddr paddr) {
-  if (lines_.empty()) {
+  if (tags_.empty()) {
     return;  // nothing has ever been cached
   }
-  const std::uint64_t tag = paddr / config_.line_size;
-  const std::size_t set = tag % config_.sets;
-  Line* base = &lines_[set * config_.ways];
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      base[w].valid = false;
+  const std::uint64_t tag = paddr >> line_shift_;
+  std::uint64_t* tags = tags_.data() + SetBase(tag);
+  for (std::size_t w = 0; w < ways_; ++w) {
+    if (tags[w] == tag) {
+      tags[w] = kNoTag;
       AdjustFrameLines(tag, -1);
       ++line_flushes_;
       return;
@@ -84,14 +97,13 @@ void Llc::FlushFrame(FrameId frame) {
 }
 
 bool Llc::Contains(PhysAddr paddr) const {
-  if (lines_.empty()) {
+  if (tags_.empty()) {
     return false;
   }
-  const std::uint64_t tag = paddr / config_.line_size;
-  const std::size_t set = tag % config_.sets;
-  const Line* base = &lines_[set * config_.ways];
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
+  const std::uint64_t tag = paddr >> line_shift_;
+  const std::uint64_t* tags = tags_.data() + SetBase(tag);
+  for (std::size_t w = 0; w < ways_; ++w) {
+    if (tags[w] == tag) {
       return true;
     }
   }
@@ -100,11 +112,11 @@ bool Llc::Contains(PhysAddr paddr) const {
 
 bool Llc::ValidateFrameLineCounters() const {
   std::vector<std::uint16_t> recomputed(frame_lines_.size(), 0);
-  for (const Line& line : lines_) {
-    if (!line.valid) {
+  for (const std::uint64_t tag : tags_) {
+    if (tag == kNoTag) {
       continue;
     }
-    const std::size_t frame = FrameOfTag(line.tag);
+    const std::size_t frame = FrameOfTag(tag);
     if (frame >= recomputed.size()) {
       // A valid line for a frame the incremental counter never saw: impossible
       // unless the accounting broke.
@@ -116,13 +128,14 @@ bool Llc::ValidateFrameLineCounters() const {
 }
 
 std::size_t Llc::resident_bytes() const {
-  return lines_.capacity() * sizeof(Line) + frame_lines_.capacity() * sizeof(std::uint16_t);
+  return (tags_.capacity() + lru_.capacity()) * sizeof(std::uint64_t) +
+         frame_lines_.capacity() * sizeof(std::uint16_t);
 }
 
 std::size_t Llc::ColorOf(FrameId frame) const { return frame % config_.page_colors(); }
 
 std::size_t Llc::SetIndexOf(PhysAddr paddr) const {
-  return (paddr / config_.line_size) % config_.sets;
+  return static_cast<std::size_t>((paddr >> line_shift_) & set_mask_);
 }
 
 }  // namespace vusion
@@ -133,16 +146,16 @@ namespace vusion {
 
 void Llc::SaveState(snapshot::SnapshotWriter& w) const {
   std::uint64_t valid = 0;
-  for (const Line& line : lines_) {
-    valid += line.valid ? 1 : 0;
+  for (const std::uint64_t tag : tags_) {
+    valid += tag != kNoTag ? 1 : 0;
   }
-  w.Bool(!lines_.empty());
+  w.Bool(!tags_.empty());
   w.U64(valid);
-  for (std::size_t i = 0; i < lines_.size(); ++i) {
-    if (lines_[i].valid) {
+  for (std::size_t i = 0; i < tags_.size(); ++i) {
+    if (tags_[i] != kNoTag) {
       w.U64(i);
-      w.U64(lines_[i].tag);
-      w.U64(lines_[i].lru);
+      w.U64(tags_[i]);
+      w.U64(lru_[i]);
     }
   }
   w.U64(tick_);
@@ -153,23 +166,43 @@ void Llc::SaveState(snapshot::SnapshotWriter& w) const {
 }
 
 void Llc::RestoreState(snapshot::SnapshotReader& r) {
-  lines_.clear();
+  tags_.clear();
+  lru_.clear();
   frame_lines_.clear();
   const bool committed = r.Bool();
   const std::uint64_t valid = r.Count(24);
   if (committed) {
-    lines_.assign(config_.sets * config_.ways, Line{});
+    tags_.assign(config_.sets * ways_, kNoTag);
+    lru_.assign(config_.sets * ways_, 0);
   }
   for (std::uint64_t i = 0; i < valid; ++i) {
     const std::uint64_t index = r.U64();
-    if (index >= lines_.size()) {
+    if (index >= tags_.size()) {
       throw snapshot::RestoreError("cache", "line index out of range");
     }
-    Line& line = lines_[index];
-    line.valid = true;
-    line.tag = r.U64();
-    line.lru = r.U64();
-    AdjustFrameLines(line.tag, +1);
+    const std::uint64_t tag = r.U64();
+    const std::uint64_t stamp = r.U64();
+    // Every line must be one Access could have filled: a real tag, in the set
+    // its index names, in a way not already taken, and not repeated within the
+    // set — anything else would break the hit scan and the frame counters.
+    if (tag == kNoTag) {
+      throw snapshot::RestoreError("cache", "line holds the empty-way tag");
+    }
+    const std::size_t base = static_cast<std::size_t>(index - index % ways_);
+    if (SetBase(tag) != base) {
+      throw snapshot::RestoreError("cache", "line tag does not map to its set");
+    }
+    for (std::size_t w = 0; w < ways_; ++w) {
+      if (tags_[base + w] == tag) {
+        throw snapshot::RestoreError("cache", "duplicate tag within a set");
+      }
+    }
+    if (tags_[index] != kNoTag) {
+      throw snapshot::RestoreError("cache", "line index repeated");
+    }
+    tags_[index] = tag;
+    lru_[index] = stamp;
+    AdjustFrameLines(tag, +1);
   }
   tick_ = r.U64();
   hits_ = r.U64();

@@ -4,6 +4,11 @@
 // ways, 64 B lines, 8192 sets; each 4 KB page covers 64 consecutive sets, giving
 // 8192/64 = 128 page colors. The LLC is what makes PRIME+PROBE (page-color attack),
 // FLUSH+RELOAD (page-sharing attack), and AnC-style page-walk probing expressible.
+//
+// Layout: structure-of-arrays. A set is `ways` consecutive tags in `tags_` plus
+// the matching last-touched stamps in `lru_`; an empty way holds the sentinel
+// tag kNoTag instead of a valid flag. Line size and set count are powers of two,
+// so the set index is a shift and a mask — the access path divides nothing.
 
 #ifndef VUSION_SRC_CACHE_LLC_H_
 #define VUSION_SRC_CACHE_LLC_H_
@@ -26,6 +31,10 @@ struct CacheConfig {
   [[nodiscard]] std::size_t size_bytes() const { return line_size * ways * sets; }
   // Number of page colors: sets covered by the whole cache / sets covered by a page.
   [[nodiscard]] std::size_t page_colors() const { return sets / (kPageSize / line_size); }
+  // Why an Llc cannot be built with this geometry, or nullptr if it can:
+  // line_size and sets must be powers of two, ways nonzero, and a line no
+  // larger than a page.
+  [[nodiscard]] const char* GeometryError() const;
 };
 
 namespace snapshot {
@@ -35,6 +44,7 @@ class SnapshotReader;
 
 class Llc {
  public:
+  // Throws std::invalid_argument when config.GeometryError() is non-null.
   explicit Llc(const CacheConfig& config);
 
   // Savestates: valid lines (index/tag/lru) plus the tick and counters; the
@@ -44,7 +54,22 @@ class Llc {
 
   // Touches the line containing paddr. Returns true on hit. Does not charge
   // latency; the memory hierarchy (Machine) composes cache and DRAM timing.
-  bool Access(PhysAddr paddr);
+  bool Access(PhysAddr paddr) {
+    const std::uint64_t tag = paddr >> line_shift_;
+    if (!tags_.empty()) {
+      const std::size_t base = SetBase(tag);
+      const std::uint64_t* tags = tags_.data() + base;
+      for (std::size_t w = 0; w < ways_; ++w) {
+        if (tags[w] == tag) {
+          lru_[base + w] = ++tick_;
+          ++hits_;
+          return true;
+        }
+      }
+    }
+    Fill(tag);
+    return false;
+  }
 
   // clflush: evicts the line containing paddr if present.
   void Flush(PhysAddr paddr);
@@ -66,45 +91,60 @@ class Llc {
   [[nodiscard]] std::uint64_t line_flushes() const { return line_flushes_; }
   [[nodiscard]] std::uint64_t frame_flushes() const { return frame_flushes_; }
 
-  // Recomputes per-frame cached-line counts from the line array and compares
+  // Recomputes per-frame cached-line counts from the tag array and compares
   // against the incremental frame_lines_ counters; false on any mismatch.
   // Audit/test use only (O(sets * ways)).
   [[nodiscard]] bool ValidateFrameLineCounters() const;
 
-  // Host bytes committed to the line array and per-frame counters. The line
-  // array is allocated on the first fill, so idle machines in a fleet (booted
+  // Host bytes committed to the tag/stamp arrays and per-frame counters. The
+  // arrays are allocated on the first fill, so idle machines in a fleet (booted
   // but not yet issuing timed accesses) carry no cache-model overhead.
   [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    std::uint64_t lru = 0;  // last-touched stamp
-  };
+  // Tag of an empty way. Physical addresses stay below 2^44 (32-bit frame
+  // numbers), so no line's tag can collide with it.
+  static constexpr std::uint64_t kNoTag = ~std::uint64_t{0};
 
-  [[nodiscard]] std::size_t FrameOfTag(std::uint64_t tag) const {
-    return static_cast<std::size_t>(tag / lines_per_page_);
+  [[nodiscard]] std::size_t SetBase(std::uint64_t tag) const {
+    return static_cast<std::size_t>(tag & set_mask_) * ways_;
   }
+  [[nodiscard]] std::size_t FrameOfTag(std::uint64_t tag) const {
+    return static_cast<std::size_t>(tag >> lines_per_page_shift_);
+  }
+  // Miss path: commits the arrays on first use, then fills the set's victim.
+  void Fill(std::uint64_t tag);
   // Exact per-frame cached-line accounting, maintained on every fill, eviction,
   // and flush. FlushFrame is called for every freed/remapped frame — the vast
   // majority holding zero cached lines — so the counter turns its
   // lines-per-page × ways probe sweep into an O(1) skip.
-  void AdjustFrameLines(std::uint64_t tag, int delta);
+  void AdjustFrameLines(std::uint64_t tag, int delta) {
+    const std::size_t frame = FrameOfTag(tag);
+    if (frame >= frame_lines_.size()) {
+      GrowFrameLines(frame);
+    }
+    frame_lines_[frame] = static_cast<std::uint16_t>(frame_lines_[frame] + delta);
+  }
+  [[gnu::cold]] void GrowFrameLines(std::size_t frame) { frame_lines_.resize(frame + 1, 0); }
 
-  CacheConfig config_;
-  std::size_t lines_per_page_;
-  // sets * ways, row-major by set; empty until the first fill (an empty array
-  // means "nothing cached", so flush/lookup paths short-circuit on it). The
-  // default 8 MB geometry costs ~3 MB of host memory per instance — a
+  // Hot geometry first: the inline hit scan reads only these and the arrays.
+  unsigned line_shift_ = 0;        // log2(line_size)
+  std::uint64_t set_mask_ = 0;     // sets - 1
+  std::size_t ways_ = 0;
+  // sets * ways each, row-major by set; empty until the first fill (an empty
+  // array means "nothing cached", so flush/lookup paths short-circuit on it).
+  // The default 8 MB geometry costs 2 MB of host memory per instance — a
   // per-Machine fixed cost a large fleet cannot afford to pay up front.
-  std::vector<Line> lines_;
-  std::vector<std::uint16_t> frame_lines_;  // cached-line count per frame, grown lazily
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> lru_;  // last-touched stamp per way
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  unsigned lines_per_page_shift_ = 0;  // log2(kPageSize / line_size)
+  std::vector<std::uint16_t> frame_lines_;  // cached-line count per frame, grown lazily
   std::uint64_t line_flushes_ = 0;
   std::uint64_t frame_flushes_ = 0;
+  CacheConfig config_;
 };
 
 }  // namespace vusion

@@ -1,57 +1,65 @@
 #include "src/mmu/tlb.h"
 
+#include <stdexcept>
+
 namespace vusion {
 
-Tlb::Tlb(std::size_t capacity) : capacity_(capacity) {}
-
-std::optional<Pte> Tlb::Lookup(Vpn vpn) {
-  const auto it = map_.find(vpn);
-  if (it == map_.end()) {
-    ++misses_;
-    return std::nullopt;
+Tlb::Tlb(std::size_t capacity) : capacity_(capacity) {
+  if (capacity == 0 || capacity >= kNil) {
+    throw std::invalid_argument("Tlb: capacity must be in [1, 2^32 - 1)");
   }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->pte;
 }
 
 void Tlb::Insert(Vpn vpn, const Pte& pte) {
-  const auto it = map_.find(vpn);
-  if (it != map_.end()) {
-    it->second->pte = pte;
-    lru_.splice(lru_.begin(), lru_, it->second);
+  if (const std::uint32_t* found = index_.find(vpn)) {
+    const std::uint32_t s = *found;
+    slots_[s].pte = pte;
+    MoveToFront(s);
     return;
   }
-  if (map_.size() >= capacity_) {
-    map_.erase(lru_.back().vpn);
-    lru_.pop_back();
+  if (index_.size() >= capacity_) {
+    Remove(tail_);
   }
-  lru_.push_front(Entry{vpn, pte});
-  map_[vpn] = lru_.begin();
+  std::uint32_t s = free_;
+  if (s != kNil) {
+    free_ = slots_[s].next;
+  } else {
+    s = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  slots_[s].vpn = vpn;
+  slots_[s].pte = pte;
+  PushFront(s);
+  index_.insert_or_assign(vpn, s);
+}
+
+void Tlb::Remove(std::uint32_t s) {
+  Unlink(s);
+  index_.erase(slots_[s].vpn);
+  slots_[s].next = free_;
+  free_ = s;
 }
 
 void Tlb::Invalidate(Vpn vpn) {
-  const auto it = map_.find(vpn);
-  if (it != map_.end()) {
-    lru_.erase(it->second);
-    map_.erase(it);
+  if (const std::uint32_t* found = index_.find(vpn)) {
+    Remove(*found);
   }
 }
 
 void Tlb::InvalidateRange(Vpn start, Vpn end) {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->vpn >= start && it->vpn < end) {
-      map_.erase(it->vpn);
-      it = lru_.erase(it);
-    } else {
-      ++it;
+  for (std::uint32_t s = head_; s != kNil;) {
+    const std::uint32_t next = slots_[s].next;
+    if (slots_[s].vpn >= start && slots_[s].vpn < end) {
+      Remove(s);
     }
+    s = next;
   }
 }
 
 void Tlb::Flush() {
-  lru_.clear();
-  map_.clear();
+  slots_.clear();
+  index_.clear();
+  head_ = tail_ = free_ = kNil;
 }
 
 }  // namespace vusion
@@ -61,27 +69,37 @@ void Tlb::Flush() {
 namespace vusion {
 
 void Tlb::SaveState(snapshot::SnapshotWriter& w) const {
-  w.U64(lru_.size());
-  for (const Entry& entry : lru_) {  // front (MRU) first
-    w.U64(entry.vpn);
-    w.U32(entry.pte.frame);
-    w.U16(entry.pte.flags);
-  }
+  w.U64(size());
+  ForEach([&w](Vpn vpn, const Pte& pte) {  // front (MRU) first
+    w.U64(vpn);
+    w.U32(pte.frame);
+    w.U16(pte.flags);
+  });
   w.U64(hits_);
   w.U64(misses_);
 }
 
 void Tlb::RestoreState(snapshot::SnapshotReader& r) {
-  lru_.clear();
-  map_.clear();
+  Flush();
   const std::uint64_t n = r.Count(14);
+  if (n > capacity_) {
+    throw snapshot::RestoreError("procs", "TLB holds more entries than its capacity");
+  }
   for (std::uint64_t i = 0; i < n; ++i) {
-    Entry entry;
-    entry.vpn = r.U64();
-    entry.pte.frame = r.U32();
-    entry.pte.flags = r.U16();
-    lru_.push_back(entry);
-    map_[entry.vpn] = std::prev(lru_.end());
+    Slot slot;
+    slot.vpn = r.U64();
+    slot.pte.frame = r.U32();
+    slot.pte.flags = r.U16();
+    if (index_.contains(slot.vpn)) {
+      throw snapshot::RestoreError("procs", "duplicate TLB entry");
+    }
+    // Entries arrive most recent first, so each one links in at the tail.
+    const auto s = static_cast<std::uint32_t>(slots_.size());
+    slot.prev = tail_;
+    (tail_ == kNil ? head_ : slots_[tail_].next) = s;
+    tail_ = s;
+    slots_.push_back(slot);
+    index_.insert_or_assign(slot.vpn, s);
   }
   hits_ = r.U64();
   misses_ = r.U64();

@@ -182,16 +182,27 @@ std::uint8_t PhysicalMemory::ByteAt(FrameId f, std::size_t offset) const {
 std::uint64_t PhysicalMemory::ReadU64(FrameId f, std::size_t offset) const {
   assert(offset + 8 <= kPageSize);
   const Frame& fr = frames_[f];
-  if (fr.kind == ContentKind::kBytes) {
-    std::uint64_t value = 0;
-    std::memcpy(&value, fr.bytes->data() + offset, 8);
-    return value;
+  switch (fr.kind) {
+    case ContentKind::kBytes: {
+      std::uint64_t value = 0;
+      std::memcpy(&value, fr.bytes->data() + offset, 8);
+      return value;
+    }
+    case ContentKind::kPattern: {
+      // The pattern stream is little-endian words: an aligned read is one
+      // word, an unaligned one splices the tail of word w onto the head of w+1.
+      const std::size_t word = offset / 8;
+      const unsigned shift = 8 * (offset % 8);
+      const std::uint64_t low = PatternWord(fr.pattern_seed, word);
+      if (shift == 0) {
+        return low;
+      }
+      return (low >> shift) | (PatternWord(fr.pattern_seed, word + 1) << (64 - shift));
+    }
+    case ContentKind::kZero:
+      break;
   }
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(ByteAt(f, offset + i)) << (8 * i);
-  }
-  return value;
+  return 0;
 }
 
 std::uint8_t PhysicalMemory::ReadByte(FrameId f, std::size_t offset) const {

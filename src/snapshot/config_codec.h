@@ -20,11 +20,17 @@ inline void WriteCacheConfig(SnapshotWriter& w, const CacheConfig& c) {
   w.U64(c.sets);
 }
 
+// Rejects any geometry the Llc constructor would: a restored Machine must never
+// be built around a cache it cannot index (an uncommitted LLC would otherwise
+// restore cleanly and fail on its first access).
 inline CacheConfig ReadCacheConfig(SnapshotReader& r) {
   CacheConfig c;
   c.line_size = static_cast<std::size_t>(r.U64());
   c.ways = static_cast<std::size_t>(r.U64());
   c.sets = static_cast<std::size_t>(r.U64());
+  if (const char* error = c.GeometryError()) {
+    throw RestoreError("config", std::string("bad cache geometry: ") + error);
+  }
   return c;
 }
 

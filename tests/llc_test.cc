@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <initializer_list>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "src/cache/eviction_set.h"
+#include "src/sim/rng.h"
+#include "src/snapshot/io.h"
 
 namespace vusion {
 namespace {
@@ -12,6 +21,151 @@ CacheConfig SmallCache() {
   config.sets = 256;
   config.ways = 4;
   return config;
+}
+
+// The array-of-structs cache the flat layout replaced, kept as the reference
+// it must match bit for bit: one Line{tag, valid, lru} per way, indexed by
+// division, and the victim is the last invalid way, or else the first way with
+// the smallest stamp.
+class ReferenceLlc {
+ public:
+  explicit ReferenceLlc(const CacheConfig& config) : config_(config) {}
+
+  bool Access(PhysAddr paddr) {
+    if (lines_.empty()) {
+      lines_.assign(config_.sets * config_.ways, Line{});
+    }
+    const std::uint64_t tag = paddr / config_.line_size;
+    Line* base = &lines_[(tag % config_.sets) * config_.ways];
+    ++tick_;
+    Line* victim = base;
+    std::size_t empty = 0;
+    for (std::size_t w = 0; w < config_.ways; ++w) {
+      Line& line = base[w];
+      if (line.valid && line.tag == tag) {
+        line.lru = tick_;
+        ++hits_;
+        return true;
+      }
+      if (!line.valid) {
+        victim = &line;
+        ++empty;
+      } else if (victim->valid && line.lru < victim->lru) {
+        victim = &line;
+      }
+    }
+    lru_evictions_ += empty == 0 ? 1 : 0;
+    choices_among_empty_ += empty > 1 ? 1 : 0;
+    *victim = Line{tag, true, tick_};
+    ++misses_;
+    return false;
+  }
+
+  void Flush(PhysAddr paddr) {
+    if (Line* line = Find(paddr)) {
+      line->valid = false;
+      ++line_flushes_;
+    }
+  }
+
+  void FlushFrame(FrameId frame) {
+    const PhysAddr start = static_cast<PhysAddr>(frame) * kPageSize;
+    bool cached = false;
+    for (std::size_t off = 0; off < kPageSize; off += config_.line_size) {
+      cached = cached || Find(start + off) != nullptr;
+    }
+    if (!cached) {
+      return;
+    }
+    ++frame_flushes_;
+    for (std::size_t off = 0; off < kPageSize; off += config_.line_size) {
+      Flush(start + off);
+    }
+  }
+
+  bool Contains(PhysAddr paddr) { return Find(paddr) != nullptr; }
+
+  void SaveState(snapshot::SnapshotWriter& w) const {
+    std::uint64_t valid = 0;
+    for (const Line& line : lines_) {
+      valid += line.valid ? 1 : 0;
+    }
+    w.Bool(!lines_.empty());
+    w.U64(valid);
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      if (lines_[i].valid) {
+        w.U64(i);
+        w.U64(lines_[i].tag);
+        w.U64(lines_[i].lru);
+      }
+    }
+    for (const std::uint64_t v : {tick_, hits_, misses_, line_flushes_, frame_flushes_}) {
+      w.U64(v);
+    }
+  }
+
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  std::uint64_t line_flushes() const { return line_flushes_; }
+  std::uint64_t frame_flushes() const { return frame_flushes_; }
+  // Coverage of the two victim rules: fills that evicted the LRU way, and
+  // fills that had to pick among several empty ways.
+  std::uint64_t lru_evictions() const { return lru_evictions_; }
+  std::uint64_t choices_among_empty() const { return choices_among_empty_; }
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    bool valid = false;
+    std::uint64_t lru = 0;
+  };
+
+  Line* Find(PhysAddr paddr) {
+    if (lines_.empty()) {
+      return nullptr;
+    }
+    const std::uint64_t tag = paddr / config_.line_size;
+    Line* base = &lines_[(tag % config_.sets) * config_.ways];
+    for (std::size_t w = 0; w < config_.ways; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        return &base[w];
+      }
+    }
+    return nullptr;
+  }
+
+  CacheConfig config_;
+  std::vector<Line> lines_;
+  std::uint64_t tick_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t line_flushes_ = 0;
+  std::uint64_t frame_flushes_ = 0;
+  std::uint64_t lru_evictions_ = 0;
+  std::uint64_t choices_among_empty_ = 0;
+};
+
+// A cache's savestate bytes, framed as one "cache" section.
+template <typename Cache>
+std::string Saved(const Cache& cache) {
+  snapshot::SnapshotWriter w;
+  w.BeginSection("cache");
+  cache.SaveState(w);
+  w.EndSection();
+  return w.Finish();
+}
+
+// Restores `image` into `llc`; returns the failing section name, or "" on success.
+std::string RestoreFailure(Llc& llc, const std::string& image) {
+  snapshot::SnapshotReader r(image);
+  r.OpenSection("cache");
+  try {
+    llc.RestoreState(r);
+    r.EndSection();
+  } catch (const snapshot::RestoreError& e) {
+    return e.section();
+  }
+  return "";
 }
 
 TEST(LlcTest, GeometryDerivation) {
@@ -71,6 +225,118 @@ TEST(LlcTest, FlushFrameRemovesAllLines) {
     EXPECT_FALSE(llc.Contains(static_cast<PhysAddr>(frame) * kPageSize + off));
   }
 }
+
+TEST(LlcTest, ConstructorRejectsBadGeometry) {
+  const auto geometry = [](std::size_t line_size, std::size_t ways, std::size_t sets) {
+    return CacheConfig{.line_size = line_size, .ways = ways, .sets = sets};
+  };
+  EXPECT_THROW(Llc{geometry(48, 4, 256)}, std::invalid_argument);
+  EXPECT_THROW(Llc{geometry(0, 4, 256)}, std::invalid_argument);
+  EXPECT_THROW(Llc{geometry(2 * kPageSize, 4, 256)}, std::invalid_argument);
+  EXPECT_THROW(Llc{geometry(64, 4, 100)}, std::invalid_argument);
+  EXPECT_THROW(Llc{geometry(64, 4, 0)}, std::invalid_argument);
+  EXPECT_THROW(Llc{geometry(64, 0, 256)}, std::invalid_argument);
+  EXPECT_NO_THROW(Llc{geometry(64, 12, 256)});  // any nonzero way count
+  EXPECT_NO_THROW(Llc{geometry(kPageSize, 1, 1)});
+}
+
+TEST(LlcTest, RestoreRejectsInconsistentLines) {
+  // 256 sets x 4 ways: tag t lives in set t % 256, line indexes 4*(t%256) .. +3.
+  const auto payload = [](std::initializer_list<std::array<std::uint64_t, 3>> lines) {
+    snapshot::SnapshotWriter w;
+    w.BeginSection("cache");
+    w.Bool(true);
+    w.U64(lines.size());
+    for (const auto& [index, tag, stamp] : lines) {
+      w.U64(index);
+      w.U64(tag);
+      w.U64(stamp);
+    }
+    for (int counter = 0; counter < 5; ++counter) {
+      w.U64(0);
+    }
+    w.EndSection();
+    return w.Finish();
+  };
+  Llc llc(SmallCache());
+  EXPECT_EQ(RestoreFailure(llc, payload({{20, 5, 1}, {23, 5 + 256, 2}})), "");
+  EXPECT_TRUE(llc.Contains(5 * 64));
+  EXPECT_TRUE(llc.ValidateFrameLineCounters());
+  EXPECT_EQ(RestoreFailure(llc, payload({{24, 5, 1}})), "cache") << "tag in the wrong set";
+  EXPECT_EQ(RestoreFailure(llc, payload({{20, 5, 1}, {22, 5, 2}})), "cache")
+      << "duplicate tag within a set";
+  EXPECT_EQ(RestoreFailure(llc, payload({{1020, ~std::uint64_t{0}, 1}})), "cache")
+      << "empty-way sentinel as a tag";
+  EXPECT_EQ(RestoreFailure(llc, payload({{20, 5, 1}, {20, 5 + 256, 2}})), "cache")
+      << "line index repeated";
+}
+
+// Differential check of the flat layout against ReferenceLlc: seeded streams of
+// Access/Contains/Flush/FlushFrame over a working set of about twice the
+// cache's lines, so sets both hit and evict, and flushes leave holes that the
+// empty-way victim rule must fill.
+class LlcDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(LlcDifferentialTest, MatchesReferenceModel) {
+  const auto [ways, sets] = GetParam();
+  const CacheConfig config{.line_size = 64, .ways = ways, .sets = sets};
+  Llc llc(config);
+  ReferenceLlc ref(config);
+  const std::uint64_t lines = 2 * ways * sets + 5;
+  Rng rng(1000 * ways + sets);
+  const auto check_state = [&](int op) {
+    ASSERT_EQ(llc.hits(), ref.hits()) << "op " << op;
+    ASSERT_EQ(llc.misses(), ref.misses()) << "op " << op;
+    ASSERT_EQ(llc.line_flushes(), ref.line_flushes()) << "op " << op;
+    ASSERT_EQ(llc.frame_flushes(), ref.frame_flushes()) << "op " << op;
+    ASSERT_TRUE(llc.ValidateFrameLineCounters()) << "op " << op;
+    ASSERT_EQ(Saved(llc), Saved(ref)) << "op " << op;
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const PhysAddr paddr = rng.NextBelow(lines) * config.line_size + rng.NextBelow(64);
+    const std::uint64_t kind = rng.NextBelow(100);
+    if (kind < 70) {
+      ASSERT_EQ(llc.Access(paddr), ref.Access(paddr)) << "op " << op;
+    } else if (kind < 85) {
+      ASSERT_EQ(llc.Contains(paddr), ref.Contains(paddr)) << "op " << op;
+    } else if (kind < 97) {
+      llc.Flush(paddr);
+      ref.Flush(paddr);
+    } else {
+      llc.FlushFrame(static_cast<FrameId>(paddr / kPageSize));
+      ref.FlushFrame(static_cast<FrameId>(paddr / kPageSize));
+    }
+    if (op % 500 == 499) {
+      check_state(op);
+    }
+  }
+  check_state(-1);
+  EXPECT_GT(ref.lru_evictions(), 0u);
+  if (ways > 1) {
+    EXPECT_GT(ref.choices_among_empty(), 0u);
+  }
+
+  // A restored copy carries on exactly like the reference.
+  Llc restored(config);
+  ASSERT_EQ(RestoreFailure(restored, Saved(llc)), "");
+  ASSERT_EQ(Saved(restored), Saved(ref));
+  for (int op = 0; op < 2000; ++op) {
+    const PhysAddr paddr = rng.NextBelow(lines) * config.line_size;
+    ASSERT_EQ(restored.Access(paddr), ref.Access(paddr)) << "restored op " << op;
+  }
+  ASSERT_TRUE(restored.ValidateFrameLineCounters());
+  ASSERT_EQ(Saved(restored), Saved(ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, LlcDifferentialTest,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 4, 16),
+                       ::testing::Values<std::size_t>(1, 64, 256)),
+    [](const ::testing::TestParamInfo<LlcDifferentialTest::ParamType>& info) {
+      return "W" + std::to_string(std::get<0>(info.param)) + "S" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(EvictionSetTest, GroupsByColorAndDetectsCompleteness) {
   CacheConfig config;

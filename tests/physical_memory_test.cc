@@ -141,6 +141,26 @@ TEST(PhysicalMemoryTest, ZeroVsPatternCompareOrdering) {
 }
 
 
+// ReadU64 reads zero and pattern frames in closed form; at every offset,
+// aligned or not, it must equal the little-endian assembly of eight ReadBytes.
+TEST(PhysicalMemoryTest, ReadU64MatchesBytesAtEveryOffset) {
+  PhysicalMemory mem(4);
+  mem.FillZero(0);
+  mem.FillPattern(1, 0x1234567);
+  mem.FillPattern(2, 0x89abcdef);
+  mem.WriteU64(2, 1000, 0x0102030405060708);  // materialized
+  for (FrameId f = 0; f < 3; ++f) {
+    for (std::size_t off = 0; off + 8 <= kPageSize; ++off) {
+      std::uint64_t expected = 0;
+      for (std::size_t i = 0; i < 8; ++i) {
+        expected |= static_cast<std::uint64_t>(mem.ReadByte(f, off + i)) << (8 * i);
+      }
+      ASSERT_EQ(mem.ReadU64(f, off), expected) << "frame " << f << " offset " << off;
+    }
+  }
+  EXPECT_EQ(mem.materialized_bytes(), kPageSize);  // reads never materialize
+}
+
 TEST(PhysicalMemoryTest, SnapshotRestoreRoundTripsAllKinds) {
   PhysicalMemory mem(16);
   // Zero frame.

@@ -188,6 +188,22 @@ TEST_F(SnapshotCorruptionTest, UnknownEngineKindBehindValidChecksumRejected) {
   ExpectRestoreError(buffer, "config", "unknown engine kind behind valid CRC");
 }
 
+TEST_F(SnapshotCorruptionTest, BadCacheGeometryBehindValidChecksumRejected) {
+  const snapshot::SnapshotInfo info = snapshot::InspectSnapshot(image());
+  const auto& config = info.sections.front();
+  ASSERT_EQ(config.name, "config");
+  // The LLC's sets field: after frame_count (U32), line_size and ways (U64s).
+  constexpr std::size_t kSetsDelta = 20;
+  for (const std::uint64_t sets : {std::uint64_t{0}, std::uint64_t{8191}}) {
+    std::string buffer = image();
+    for (std::size_t i = 0; i < 8; ++i) {
+      buffer = PatchSealedByte(buffer, config, kSetsDelta + i,
+                               static_cast<char>((sets >> (8 * i)) & 0xFF));
+    }
+    ExpectRestoreError(buffer, "config", "LLC sets = " + std::to_string(sets));
+  }
+}
+
 TEST_F(SnapshotCorruptionTest, DroppedTrailingSectionRejected) {
   const snapshot::SnapshotInfo info = snapshot::InspectSnapshot(image());
   const auto& last = info.sections.back();
