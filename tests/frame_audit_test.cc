@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "src/fusion/engine_factory.h"
 #include "src/fusion/ksm.h"
@@ -84,9 +85,17 @@ void CheckAudit(Machine& machine, FusionEngine* engine) {
 }
 
 struct AuditParam {
+  AuditParam(EngineKind kind_in, std::uint64_t seed_in) : kind(kind_in), seed(seed_in) {}
+
   EngineKind kind;
+  // gtest prints the parameter byte by byte into the test name, so the gap
+  // between the 4-byte kind and the seed is an explicit zero field: padding
+  // would hold indeterminate bytes and make the name vary between builds.
+  std::uint32_t unused = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<AuditParam>,
+              "AuditParam must have no padding bytes");
 
 class FrameAuditTest : public ::testing::TestWithParam<AuditParam> {};
 
