@@ -1,7 +1,7 @@
 // Host-side microbenchmarks of the simulator's hot primitives (google-benchmark):
 // content hashing/compare, the buddy allocator, the content-keyed red-black tree,
-// the LLC, and the full timed access path. These bound the wall-clock cost of the
-// evaluation benches.
+// the LLC, latency charging, and the full timed access path. These bound the
+// wall-clock cost of the evaluation benches.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +15,7 @@
 #include "src/kernel/process.h"
 #include "src/phys/buddy_allocator.h"
 #include "src/phys/content_isa.h"
+#include "src/sim/latency_model.h"
 
 namespace vusion {
 namespace {
@@ -180,6 +181,31 @@ void BM_TimedProcessRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TimedProcessRead);
+
+// One LatencyModel::Charge per iteration: the charging layer's per-call cost.
+// The access path charges the TLB lookup (base 1) and the level that served
+// the data (14 for an LLC hit) at the default sigma; sigma 0 draws no noise;
+// and switching sigma right after each refill sends the batch's other 63
+// charges down the exact (libm) path.
+void BM_LatencyCharge(benchmark::State& state, double sigma, SimTime base, bool exact_path) {
+  LatencyConfig config;
+  config.noise_sigma = sigma;
+  VirtualClock clock;
+  LatencyModel model(config, clock, Rng(9));
+  std::int64_t charges = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.Charge(base));
+    if (exact_path && charges++ % LatencyModel::kNoiseBatch == 0) {
+      double& current = model.mutable_config().noise_sigma;
+      current = current == sigma ? 2 * sigma : sigma;
+    }
+  }
+  benchmark::DoNotOptimize(clock.now());
+}
+BENCHMARK_CAPTURE(BM_LatencyCharge, sigma0.04_base1, 0.04, SimTime{1}, false);
+BENCHMARK_CAPTURE(BM_LatencyCharge, sigma0.04_base14, 0.04, SimTime{14}, false);
+BENCHMARK_CAPTURE(BM_LatencyCharge, sigma0_base14, 0.0, SimTime{14}, false);
+BENCHMARK_CAPTURE(BM_LatencyCharge, exact_path_base14, 0.04, SimTime{14}, true);
 
 // Mirrors every google-benchmark run into the unified BENCH_*.json artifact while
 // leaving the console output exactly what ConsoleReporter prints.

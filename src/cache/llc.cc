@@ -165,7 +165,7 @@ void Llc::SaveState(snapshot::SnapshotWriter& w) const {
   w.U64(frame_flushes_);
 }
 
-void Llc::RestoreState(snapshot::SnapshotReader& r) {
+void Llc::RestoreState(snapshot::SnapshotReader& r, std::size_t frame_count) {
   tags_.clear();
   lru_.clear();
   frame_lines_.clear();
@@ -182,11 +182,16 @@ void Llc::RestoreState(snapshot::SnapshotReader& r) {
     }
     const std::uint64_t tag = r.U64();
     const std::uint64_t stamp = r.U64();
-    // Every line must be one Access could have filled: a real tag, in the set
-    // its index names, in a way not already taken, and not repeated within the
-    // set — anything else would break the hit scan and the frame counters.
+    // Every line must be one Access could have filled: a real tag of a frame
+    // the machine has, in the set its index names, in a way not already
+    // taken, and not repeated within the set — anything else would break the
+    // hit scan and the frame counters (which a far-out frame would also grow
+    // to its number).
     if (tag == kNoTag) {
       throw snapshot::RestoreError("cache", "line holds the empty-way tag");
+    }
+    if (FrameOfTag(tag) >= frame_count) {
+      throw snapshot::RestoreError("cache", "line tag names a frame past physical memory");
     }
     const std::size_t base = static_cast<std::size_t>(index - index % ways_);
     if (SetBase(tag) != base) {

@@ -49,8 +49,10 @@ class Llc {
 
   // Savestates: valid lines (index/tag/lru) plus the tick and counters; the
   // per-frame line counts are a rebuildable index and are reconstructed.
+  // Restore rejects a line whose frame is at or past `frame_count`, the
+  // machine's physical memory size, before sizing the counters by it.
   void SaveState(snapshot::SnapshotWriter& w) const;
-  void RestoreState(snapshot::SnapshotReader& r);
+  void RestoreState(snapshot::SnapshotReader& r, std::size_t frame_count);
 
   // Touches the line containing paddr. Returns true on hit. Does not charge
   // latency; the memory hierarchy (Machine) composes cache and DRAM timing.

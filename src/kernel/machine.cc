@@ -327,6 +327,7 @@ void Machine::Save(snapshot::SnapshotWriter& w) {
   using snapshot::WriteKhugepagedConfig;
   using snapshot::WriteLatencyConfig;
   using snapshot::WriteRng;
+  using snapshot::WriteRngState;
 
   // The first section carries the process-slot liveness mask so Restore can
   // create the process shells before any component state lands.
@@ -349,7 +350,7 @@ void Machine::Save(snapshot::SnapshotWriter& w) {
   w.BeginSection("latency");
   WriteLatencyConfig(w, latency_->config());
   w.Bool(latency_->batching_enabled());
-  WriteRng(w, latency_->noise_rng());
+  WriteRngState(w, latency_->noise_rng_state());
   const LatencyModel::NoiseCacheState noise = latency_->noise_cache_state();
   for (const double g : noise.gauss) {
     w.F64(g);
@@ -435,6 +436,7 @@ void Machine::Restore(snapshot::SnapshotReader& r) {
   using snapshot::ReadKhugepagedConfig;
   using snapshot::ReadLatencyConfig;
   using snapshot::ReadRng;
+  using snapshot::ReadRngState;
   using snapshot::RestoreError;
 
   r.OpenSection("machine");
@@ -477,7 +479,7 @@ void Machine::Restore(snapshot::SnapshotReader& r) {
   r.OpenSection("latency");
   latency_->mutable_config() = ReadLatencyConfig(r);
   latency_->set_batching_enabled(r.Bool());
-  ReadRng(r, latency_->noise_rng());
+  const Rng::State noise_rng = ReadRngState(r);
   LatencyModel::NoiseCacheState noise;
   for (double& g : noise.gauss) {
     g = r.F64();
@@ -487,10 +489,10 @@ void Machine::Restore(snapshot::SnapshotReader& r) {
   }
   noise.factor_sigma = r.F64();
   noise.noise_pos = static_cast<int>(r.U32());
-  if (noise.noise_pos < 0 || noise.noise_pos > LatencyModel::kNoiseBatch) {
-    throw RestoreError("latency", "noise cursor out of range");
+  if (const char* damage = noise.Damage()) {
+    throw RestoreError("latency", damage);
   }
-  latency_->RestoreNoiseCacheState(noise);
+  latency_->RestoreNoiseState(noise_rng, noise);
   r.EndSection();
 
   r.OpenSection("phys");
@@ -502,13 +504,13 @@ void Machine::Restore(snapshot::SnapshotReader& r) {
   r.EndSection();
 
   r.OpenSection("cache");
-  llc_->RestoreState(r);
+  llc_->RestoreState(r, memory_->frame_count());
   const bool has_l1 = r.Bool();
   if (has_l1 != (l1_ != nullptr)) {
     throw RestoreError("cache", "L1 presence does not match the machine config");
   }
   if (l1_ != nullptr) {
-    l1_->RestoreState(r);
+    l1_->RestoreState(r, memory_->frame_count());
   }
   r.EndSection();
 

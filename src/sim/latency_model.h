@@ -10,6 +10,7 @@
 #define VUSION_SRC_SIM_LATENCY_MODEL_H_
 
 #include <cmath>
+#include <limits>
 
 #include "src/sim/clock.h"
 #include "src/sim/rng.h"
@@ -58,42 +59,65 @@ class LatencyModel {
   // Noise draws are precomputed in batches of this size (even: refills consume
   // whole Box-Muller pairs). Public because the savestate mirrors the batch.
   static constexpr int kNoiseBatch = 64;
+  static constexpr int kNoisePairs = kNoiseBatch / 2;
+  // Largest sigma the batch kernel runs under: |sigma * g| <= 64 * 8.58 keeps
+  // its exp far from overflow. Larger sigmas draw exact batches.
+  static constexpr double kMaxFastSigma = 64.0;
+
+  // The guard on the batch kernel's approximate noisy values. Error budget:
+  // over 6.4 M draws the kernel's factor was within 2.2e-16 (relative) of
+  // libm's exp(sigma * g) at sigma = 0.04, 1.6e-15 at 0.5 and 2e-13 at
+  // kMaxFastSigma. The terms: libm is within 1 ulp per call and the kernel's
+  // polynomials about as close; the kernel takes sin/cos of 2π u2 unrounded,
+  // where libm gets it rounded, at most 4.4e-16 rad away; and an absolute
+  // error in the exponent sigma * g becomes a relative error in the factor.
+  // The product with base rounds once on both sides. So when the approximate
+  // value lies farther than kNoiseGuard (relative) from every k + 1/2 — a
+  // margin of over 10^5 at sigma <= 0.5 — the exact value lies in the same
+  // interval (k - 1/2, k + 1/2) and rounds to the same k.
+  static constexpr double kNoiseGuard = 1e-9;
+  // round(noisy), clamped to at least 1 like every noisy cost, when noisy lies
+  // farther than the guard from every k + 1/2; 0 when the exact value must
+  // decide (about 2e-9 * noisy of charges, and all from 5e8 up), and for NaN
+  // or noisy >= 2^51.
+  static SimTime RoundOutsideGuard(double noisy) {
+    if (!(noisy < 0x1p51)) {
+      return 0;
+    }
+    // `above` is noisy's distance past the half-integer below it, exact
+    // wherever it can commit: the sum is exact below 2^50, and from 5e8 up
+    // the guard exceeds 1/2.
+    const double shifted = noisy + 0.5;
+    const auto cost = static_cast<SimTime>(shifted);
+    const double above = shifted - static_cast<double>(cost);
+    const double guard = kNoiseGuard * noisy;
+    if (above > guard && 1.0 - above > guard) {
+      return cost == 0 ? 1 : cost;
+    }
+    return 0;
+  }
 
   LatencyModel(const LatencyConfig& config, VirtualClock& clock, Rng noise_rng);
 
   // Charges `base` nanoseconds with multiplicative log-normal noise. Inline
-  // (with the RNG draw): the scan loop charges several times per page, and the
-  // cross-TU call overhead is measurable there.
+  // (with the batch lookup): the scan loop charges several times per page, and
+  // the cross-TU call overhead is measurable there.
   SimTime Charge(SimTime base) {
     SimTime cost = base;
     const double sigma = config_.noise_sigma;
     if (sigma > 0.0 && base > 0) {
-      // One draw from the precomputed noise batch; RefillNoise computes the
-      // identical gaussians (and exp factors) the per-charge NextLogNormal
-      // would, just 64 at a time. The sigma check covers a mid-batch
-      // mutable_config() change: the buffered gaussians are still the correct
-      // next draws, only the factor must be recomputed under the new sigma.
+      // One draw from the precomputed noise batch: the gaussian the
+      // per-charge NextLogNormal would draw, as the factor exp(sigma * g).
+      // The kernel's approximation decides unless the guard refuses it, or
+      // sigma is not the one the batch was computed under (a mid-batch
+      // mutable_config() change, or an exact batch).
       if (noise_pos_ == kNoiseBatch) {
         RefillNoise();
       }
-      const double factor = sigma == factor_sigma_
-                                ? factor_[noise_pos_]
-                                : std::exp(sigma * gauss_[noise_pos_]);
-      ++noise_pos_;
-      const double noisy = static_cast<double>(base) * factor;
-      if (noisy < 0x1p51) {
-        // llround without the libm call (~5% of the scan profile). Below 2^51
-        // `noisy + 0.5` is exact (spacing <= 0.5), so truncating it is exactly
-        // round-half-away-from-zero — except inside [0.5 - eps, 0.5), where
-        // the sum can round up across 1.0; both sides of that difference land
-        // in the clamp below, so the final cost is still bit-identical to
-        // llround's.
-        cost = static_cast<SimTime>(noisy + 0.5);
-      } else {
-        cost = SlowRound(noisy);
-      }
+      const int i = noise_pos_++;
+      cost = sigma == fast_sigma_ ? RoundOutsideGuard(static_cast<double>(base) * approx_[i]) : 0;
       if (cost == 0) {
-        cost = 1;
+        cost = ExactNoisyCost(base, i);
       }
     }
     if (batching()) {
@@ -152,46 +176,46 @@ class LatencyModel {
 
   // --- Savestate accessors (mirrors Rng::state()/RestoreState) ---
   //
-  // The buffered noise draws are deterministic stream state: gauss_ holds
+  // The buffered noise draws are deterministic stream state: the batch holds
   // gaussians already pulled from the noise RNG but not yet consumed by
-  // Charge, so dropping them on restore would shift every later draw.
+  // Charge, so dropping them on restore would shift every later draw. Both
+  // accessors report what the always-libm batch would hold: a batch drawn as
+  // uniforms recomputes its exact gaussians and factors here, and the noise
+  // stream's stale Box-Muller spare (the batch's last gaussian).
   struct NoiseCacheState {
     double gauss[kNoiseBatch] = {};
     double factor[kNoiseBatch] = {};
     double factor_sigma = -1.0;
     int noise_pos = kNoiseBatch;
+
+    // Why this cannot be a batch RefillNoise drew, or nullptr if it can: the
+    // cursor must lie in [0, kNoiseBatch], and a live batch (cursor below
+    // kNoiseBatch) needs finite gaussians and factors bit-equal to
+    // exp(factor_sigma * gauss), since Charge trusts both.
+    [[nodiscard]] const char* Damage() const;
   };
-  [[nodiscard]] NoiseCacheState noise_cache_state() const {
-    NoiseCacheState s;
-    for (int i = 0; i < kNoiseBatch; ++i) {
-      s.gauss[i] = gauss_[i];
-      s.factor[i] = factor_[i];
-    }
-    s.factor_sigma = factor_sigma_;
-    s.noise_pos = noise_pos_;
-    return s;
-  }
-  void RestoreNoiseCacheState(const NoiseCacheState& s) {
-    for (int i = 0; i < kNoiseBatch; ++i) {
-      gauss_[i] = s.gauss[i];
-      factor_[i] = s.factor[i];
-    }
-    factor_sigma_ = s.factor_sigma;
-    noise_pos_ = s.noise_pos;
-  }
-  // The dedicated noise stream itself, for Rng::state() round-trips.
-  [[nodiscard]] Rng& noise_rng() { return rng_; }
+  [[nodiscard]] NoiseCacheState noise_cache_state() const;
+  [[nodiscard]] Rng::State noise_rng_state() const;
+  // Restores the noise stream and its batch. The restored batch is charged on
+  // the exact path until the next refill.
+  void RestoreNoiseState(const Rng::State& rng, const NoiseCacheState& cache);
 
  private:
   [[nodiscard]] bool batching() const { return batch_depth_ > 0 && batching_enabled_; }
-  // Out-of-line std::llround for the (never seen in practice) >= 2^51 range,
-  // keeping <cmath>'s llround out of this header's hot inline path.
-  static SimTime SlowRound(double noisy);
-  // Refills gauss_/factor_ with the next kNoiseBatch draws of the noise
-  // stream. rng_ feeds nothing but Charge's noise, so drawing ahead of
-  // consumption is invisible to every other stream, and the batch loop lets
-  // the 32 independent Box-Muller pairs (and their exp factors) pipeline
-  // instead of serializing one libm round-trip per charge.
+  [[nodiscard]] bool fast_batch() const { return !std::isnan(fast_sigma_); }
+  // Draw i's gaussian exactly as NextGaussian produced (or would produce) it.
+  [[nodiscard]] double ExactGaussian(int i) const;
+
+  // Draw i's cost from libm's expressions under the current sigma, rounded
+  // as llround and clamped to at least 1: bit-identical to the always-libm
+  // batch. Out of line: a fast batch sends few charges here.
+  [[nodiscard]] SimTime ExactNoisyCost(SimTime base, int i) const;
+  // Draws the next kNoiseBatch gaussians of the noise stream. rng_ feeds
+  // nothing but Charge's noise, so drawing ahead of consumption is invisible
+  // to every other stream. A fast batch stores the 32 Box-Muller uniform pairs
+  // and lets one vectorized kernel approximate all 64 factors; an exact batch
+  // (the stream holds a spare, or sigma > kMaxFastSigma) stores libm's
+  // gaussians and factors as NextGaussian and std::exp produce them.
   void RefillNoise();
 
   LatencyConfig config_;
@@ -200,10 +224,16 @@ class LatencyModel {
   SimTime pending_ = 0;
   int batch_depth_ = 0;
   bool batching_enabled_ = true;
-  double gauss_[kNoiseBatch];
-  double factor_[kNoiseBatch];
-  double factor_sigma_ = -1.0;  // sigma factor_ was computed with
   int noise_pos_ = kNoiseBatch;
+  // Sigma approx_ was computed with, or NaN while the batch is exact, so that
+  // no sigma selects the fast path.
+  double fast_sigma_ = std::numeric_limits<double>::quiet_NaN();
+  double factor_sigma_ = -1.0;  // sigma the batch's factors were computed with
+  double approx_[kNoiseBatch] = {};  // fast batch: kernel factors
+  double u1_[kNoisePairs] = {};      // fast batch: Box-Muller uniforms
+  double u2_[kNoisePairs] = {};
+  double gauss_[kNoiseBatch] = {};   // exact batch: libm gaussians
+  double factor_[kNoiseBatch] = {};  // exact batch: libm factors
 };
 
 // RAII batch scope for a homogeneous run of charges (one scan pass, one page's

@@ -14,6 +14,22 @@
 
 namespace vusion {
 
+// The two independent standard normals of one Box-Muller pair: r cos θ and
+// r sin θ, with r = sqrt(-2 ln u1) and θ = 2π u2, for u1 in (0, 1) and u2 in
+// [0, 1). This is the only place the transform is written, so every consumer
+// of a gaussian stream (Rng::NextGaussian, the latency model's noise batch)
+// computes bit-identical values from the same uniforms.
+struct GaussianPair {
+  double cos;
+  double sin;
+};
+inline GaussianPair BoxMuller(double u1, double u2) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * std::numbers::pi * u2;
+  // sin and cos on the same angle compile to one sincos call.
+  return {r * std::cos(theta), r * std::sin(theta)};
+}
+
 // xoshiro256++ PRNG. Not cryptographic; used only for simulation decisions.
 //
 // The generator core and the gaussian/log-normal draws are defined inline: the
@@ -57,19 +73,26 @@ class Rng {
       has_spare_gaussian_ = false;
       return spare_gaussian_;
     }
-    // Guard against log(0).
-    double u1 = NextDouble();
+    double u1 = 0.0;
+    double u2 = 0.0;
+    NextBoxMullerUniforms(u1, u2);
+    const GaussianPair pair = BoxMuller(u1, u2);
+    spare_gaussian_ = pair.sin;
+    has_spare_gaussian_ = true;
+    return pair.cos;
+  }
+
+  // The two uniforms NextGaussian transforms when it holds no spare: u1,
+  // redrawn while zero (guarding log(0)), then u2. Callers that batch the
+  // transform draw through this so the stream stays identical.
+  void NextBoxMullerUniforms(double& u1, double& u2) {
+    u1 = NextDouble();
     while (u1 <= 0.0) {
       u1 = NextDouble();
     }
-    const double u2 = NextDouble();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * std::numbers::pi * u2;
-    // sin and cos on the same angle compile to one sincos call.
-    spare_gaussian_ = r * std::sin(theta);
-    has_spare_gaussian_ = true;
-    return r * std::cos(theta);
+    u2 = NextDouble();
   }
+  [[nodiscard]] bool has_spare_gaussian() const { return has_spare_gaussian_; }
 
   // Log-normal with the given median and sigma of the underlying normal. Used by the
   // latency model for realistic timing noise.

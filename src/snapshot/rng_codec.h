@@ -10,8 +10,7 @@
 
 namespace vusion::snapshot {
 
-inline void WriteRng(SnapshotWriter& w, const Rng& rng) {
-  const Rng::State s = rng.state();
+inline void WriteRngState(SnapshotWriter& w, const Rng::State& s) {
   for (const std::uint64_t word : s.s) {
     w.U64(word);
   }
@@ -19,15 +18,19 @@ inline void WriteRng(SnapshotWriter& w, const Rng& rng) {
   w.Bool(s.has_spare_gaussian);
 }
 
-inline void ReadRng(SnapshotReader& r, Rng& rng) {
+inline Rng::State ReadRngState(SnapshotReader& r) {
   Rng::State s;
   for (std::uint64_t& word : s.s) {
     word = r.U64();
   }
   s.spare_gaussian = r.F64();
   s.has_spare_gaussian = r.Bool();
-  rng.RestoreState(s);
+  return s;
 }
+
+inline void WriteRng(SnapshotWriter& w, const Rng& rng) { WriteRngState(w, rng.state()); }
+
+inline void ReadRng(SnapshotReader& r, Rng& rng) { rng.RestoreState(ReadRngState(r)); }
 
 }  // namespace vusion::snapshot
 

@@ -155,12 +155,14 @@ std::string Saved(const Cache& cache) {
   return w.Finish();
 }
 
-// Restores `image` into `llc`; returns the failing section name, or "" on success.
-std::string RestoreFailure(Llc& llc, const std::string& image) {
+// Restores `image` into `llc` on a machine of `frame_count` frames; returns the
+// failing section name, or "" on success.
+std::string RestoreFailure(Llc& llc, const std::string& image,
+                           std::size_t frame_count = std::size_t{1} << 16) {
   snapshot::SnapshotReader r(image);
   r.OpenSection("cache");
   try {
-    llc.RestoreState(r);
+    llc.RestoreState(r, frame_count);
     r.EndSection();
   } catch (const snapshot::RestoreError& e) {
     return e.section();
@@ -269,6 +271,14 @@ TEST(LlcTest, RestoreRejectsInconsistentLines) {
       << "empty-way sentinel as a tag";
   EXPECT_EQ(RestoreFailure(llc, payload({{20, 5, 1}, {20, 5 + 256, 2}})), "cache")
       << "line index repeated";
+  // 64 lines per page: tag 5 + 512 * f lives in set 5 and in frame 8 * f.
+  EXPECT_EQ(RestoreFailure(llc, payload({{20, 5 + 512 * 1, 1}}), 8), "cache")
+      << "tag of the first frame past physical memory";
+  EXPECT_EQ(RestoreFailure(llc, payload({{20, 5 + 512 * 1, 1}}), 9), "")
+      << "tag of the last frame";
+  // High bits set: the frame number would have sized the per-frame counters.
+  EXPECT_EQ(RestoreFailure(llc, payload({{20, (std::uint64_t{1} << 62) + 5, 1}})), "cache")
+      << "tag far past physical memory";
 }
 
 // Differential check of the flat layout against ReferenceLlc: seeded streams of

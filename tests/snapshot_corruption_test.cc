@@ -12,6 +12,7 @@
 
 #include "src/fusion/engine_factory.h"
 #include "src/kernel/process.h"
+#include "src/sim/latency_model.h"
 #include "src/snapshot/machine_snapshot.h"
 
 namespace vusion {
@@ -66,6 +67,34 @@ std::string PatchSealedByte(std::string buffer, const snapshot::SnapshotReader::
   WriteLeU32(buffer, s.offset + s.size,
              snapshot::Crc32(buffer.data() + s.offset, s.size));
   return buffer;
+}
+
+// Patches `bytes` little-endian bytes of `value` at `delta`, re-sealing each.
+std::string PatchSealedLe(std::string buffer, const snapshot::SnapshotReader::SectionInfo& s,
+                          std::size_t delta, std::uint64_t value, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    buffer = PatchSealedByte(buffer, s, delta + i, static_cast<char>((value >> (8 * i)) & 0xFF));
+  }
+  return buffer;
+}
+
+std::uint64_t ReadLe(const std::string& buffer, std::size_t pos, std::size_t bytes) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(buffer[pos + i])} << (8 * i);
+  }
+  return v;
+}
+
+snapshot::SnapshotReader::SectionInfo FindSection(const std::string& buffer,
+                                                  const std::string& name) {
+  for (const auto& section : snapshot::InspectSnapshot(buffer).sections) {
+    if (section.name == name) {
+      return section;
+    }
+  }
+  ADD_FAILURE() << "no section " << name;
+  return {};
 }
 
 // Re-seals the header CRC after editing the first 16 header bytes.
@@ -195,12 +224,52 @@ TEST_F(SnapshotCorruptionTest, BadCacheGeometryBehindValidChecksumRejected) {
   // The LLC's sets field: after frame_count (U32), line_size and ways (U64s).
   constexpr std::size_t kSetsDelta = 20;
   for (const std::uint64_t sets : {std::uint64_t{0}, std::uint64_t{8191}}) {
-    std::string buffer = image();
-    for (std::size_t i = 0; i < 8; ++i) {
-      buffer = PatchSealedByte(buffer, config, kSetsDelta + i,
-                               static_cast<char>((sets >> (8 * i)) & 0xFF));
-    }
-    ExpectRestoreError(buffer, "config", "LLC sets = " + std::to_string(sets));
+    ExpectRestoreError(PatchSealedLe(image(), config, kSetsDelta, sets, 8), "config",
+                       "LLC sets = " + std::to_string(sets));
+  }
+}
+
+TEST_F(SnapshotCorruptionTest, DamagedNoiseBatchBehindValidChecksumRejected) {
+  const auto latency = FindSection(image(), "latency");
+  // The section ends with the batch: 64 gaussians, 64 factors, the sigma the
+  // factors were computed with (F64) and the cursor (U32).
+  const std::size_t cursor = latency.size - 4;
+  const std::size_t factor0 = cursor - 8 - 8 * LatencyModel::kNoiseBatch;
+  const std::size_t gauss0 = factor0 - 8 * LatencyModel::kNoiseBatch;
+  // A mid-batch image: the saved batch is consistent whether or not it was
+  // spent, so moving the cursor into it still restores and runs.
+  const std::string mid = PatchSealedLe(image(), latency, cursor, 5, 4);
+  {
+    snapshot::RestoredMachine restored = snapshot::RestoreSnapshot(mid);
+    restored.machine->Idle(5 * kMillisecond);
+  }
+  const std::uint64_t factor40 = ReadLe(mid, latency.offset + factor0 + 8 * 40, 8);
+  // A NaN factor once restored cleanly and advanced the clock by about 2^63.
+  ExpectRestoreError(PatchSealedLe(mid, latency, factor0 + 8 * 40, 0x7ff8000000000000ULL, 8),
+                     "latency", "NaN noise factor");
+  ExpectRestoreError(PatchSealedLe(mid, latency, factor0 + 8 * 40, factor40 + 1, 8), "latency",
+                     "noise factor one ulp off");
+  ExpectRestoreError(PatchSealedLe(mid, latency, gauss0 + 8 * 3, 0x7ff0000000000000ULL, 8),
+                     "latency", "infinite noise gaussian");
+  ExpectRestoreError(PatchSealedLe(mid, latency, cursor, LatencyModel::kNoiseBatch + 1, 4),
+                     "latency", "noise cursor past the batch");
+}
+
+TEST_F(SnapshotCorruptionTest, LlcTagPastPhysicalMemoryBehindValidChecksumRejected) {
+  const auto cache = FindSection(image(), "cache");
+  // Bool committed, U64 line count, then (U64 index, U64 tag, U64 stamp) per
+  // line; the LLC comes first.
+  ASSERT_EQ(ReadLe(image(), cache.offset, 1), 1u);
+  ASSERT_GT(ReadLe(image(), cache.offset + 1, 8), 0u);
+  constexpr std::size_t kTagDelta = 1 + 8 + 8;
+  const std::uint64_t tag = ReadLe(image(), cache.offset + kTagDelta, 8);
+  // Both stay in the tag's set (a multiple of the 8192 sets apart); the first
+  // names a frame 2^13 past its own, at or past the machine's 2^13 frames, and
+  // the second once resized the per-frame counters to 2^56 entries.
+  const std::uint64_t lines_of_memory = std::uint64_t{MakeMachineConfig().frame_count} * 64;
+  for (const std::uint64_t bad : {tag + lines_of_memory, tag + (std::uint64_t{1} << 62)}) {
+    ExpectRestoreError(PatchSealedLe(image(), cache, kTagDelta, bad, 8), "cache",
+                       "LLC tag " + std::to_string(bad));
   }
 }
 
