@@ -1,10 +1,12 @@
 // Host-side microbenchmarks of the simulator's hot primitives (google-benchmark):
 // content hashing/compare, the buddy allocator, the content-keyed red-black tree,
-// the LLC, latency charging, and the full timed access path. These bound the
-// wall-clock cost of the evaluation benches.
+// each access-path layer (TLB, L1/LLC, DRAM row buffer), latency charging, and
+// the full timed access path. These bound the wall-clock cost of the evaluation
+// benches.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <string>
@@ -12,7 +14,9 @@
 
 #include "bench/reporter.h"
 #include "src/container/rbtree.h"
+#include "src/dram/row_buffer.h"
 #include "src/kernel/process.h"
+#include "src/mmu/tlb.h"
 #include "src/phys/buddy_allocator.h"
 #include "src/phys/content_isa.h"
 #include "src/sim/latency_model.h"
@@ -155,15 +159,104 @@ void BM_RbTreeInsertFind(benchmark::State& state) {
 }
 BENCHMARK(BM_RbTreeInsertFind);
 
-void BM_LlcAccess(benchmark::State& state) {
-  Llc llc(CacheConfig{});
-  PhysAddr addr = 0;
+// --- Access-path layers ---
+//
+// One row per layer of a timed access (TLB, L1/LLC, DRAM row buffer), each
+// replaying a precomputed seeded stream so the rows time the structure, not
+// the generator. Streams cover a 400-page footprint, within the 90–650 pages
+// of the SPEC-like workloads' footprints.
+
+constexpr std::size_t kLayerFootprintPages = 400;
+constexpr std::size_t kLayerStreamLength = std::size_t{1} << 16;
+
+// Line addresses over 400 frames spaced page_colors() apart, so every frame
+// has the same color: a uniform stream overflows the sets they share
+// (miss-dominated), while sending 9 of 10 accesses to the first four pages
+// keeps those lines resident (hit-dominated).
+std::vector<PhysAddr> CacheStream(const CacheConfig& config, bool hit_dominated) {
+  Rng rng(hit_dominated ? 11 : 12);
+  std::vector<PhysAddr> stream(kLayerStreamLength);
+  for (PhysAddr& paddr : stream) {
+    const std::size_t pages =
+        hit_dominated && rng.NextBool(0.9) ? 4 : kLayerFootprintPages;
+    const std::uint64_t frame = rng.NextBelow(pages) * config.page_colors();
+    paddr = frame * kPageSize + rng.NextBelow(kPageSize / config.line_size) * config.line_size;
+  }
+  return stream;
+}
+
+// One Llc::Access per iteration on the L1 or LLC geometry, after one warm-up
+// pass over the stream; hit_frac is the measured share of hits.
+void BM_CacheAccess(benchmark::State& state, CacheConfig config, bool hit_dominated) {
+  const std::vector<PhysAddr> stream = CacheStream(config, hit_dominated);
+  Llc cache(config);
+  for (const PhysAddr paddr : stream) {
+    cache.Access(paddr);
+  }
+  const std::uint64_t hits_before = cache.hits();
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(llc.Access(addr));
-    addr += 64;
+    benchmark::DoNotOptimize(cache.Access(stream[i]));
+    i = (i + 1) & (kLayerStreamLength - 1);
+  }
+  state.counters["hit_frac"] = static_cast<double>(cache.hits() - hits_before) /
+                               static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
+}
+BENCHMARK_CAPTURE(BM_CacheAccess, l1_hit_dominated, MachineConfig{}.l1_cache, true);
+BENCHMARK_CAPTURE(BM_CacheAccess, l1_miss_dominated, MachineConfig{}.l1_cache, false);
+BENCHMARK_CAPTURE(BM_CacheAccess, llc_hit_dominated, CacheConfig{}, true);
+BENCHMARK_CAPTURE(BM_CacheAccess, llc_miss_dominated, CacheConfig{}, false);
+
+// One Tlb::Lookup per iteration on a machine-sized TLB. hit: a seeded stream
+// over 400 cached vpns; miss_insert: every lookup misses a fresh vpn, which is
+// then inserted, evicting the least recently used entry of the full TLB.
+void BM_TlbLookup(benchmark::State& state, bool hit) {
+  Tlb tlb(kDefaultTlbEntries);
+  Vpn next = 0;
+  for (; next < (hit ? kLayerFootprintPages : kDefaultTlbEntries); ++next) {
+    tlb.Insert(next, Pte{static_cast<FrameId>(next), kPtePresent});
+  }
+  std::vector<Vpn> stream(hit ? kLayerStreamLength : 0);
+  Rng rng(13);
+  for (Vpn& vpn : stream) {
+    vpn = rng.NextBelow(kLayerFootprintPages);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (hit) {
+      benchmark::DoNotOptimize(tlb.Lookup(stream[i]));
+      i = (i + 1) & (kLayerStreamLength - 1);
+    } else {
+      benchmark::DoNotOptimize(tlb.Lookup(next));
+      tlb.Insert(next, Pte{static_cast<FrameId>(next), kPtePresent});
+      ++next;
+    }
   }
 }
-BENCHMARK(BM_LlcAccess);
+BENCHMARK_CAPTURE(BM_TlbLookup, hit, true);
+BENCHMARK_CAPTURE(BM_TlbLookup, miss_insert, false);
+
+// One RowBuffer::Access per iteration: a seeded stream of lines over 400
+// consecutive frames, with the clock advancing a row miss per access so
+// refresh epochs roll as they do on a machine.
+void BM_RowBufferAccess(benchmark::State& state) {
+  const DramMapping mapping{DramConfig{}};
+  VirtualClock clock;
+  RowBuffer rows(mapping, clock);
+  std::vector<PhysAddr> stream(kLayerStreamLength);
+  Rng rng(14);
+  for (PhysAddr& paddr : stream) {
+    paddr = rng.NextBelow(kLayerFootprintPages) * kPageSize + rng.NextBelow(kPageSize / 64) * 64;
+  }
+  const SimTime step = LatencyConfig{}.dram_row_miss;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rows.Access(stream[i]));
+    clock.Advance(step);
+    i = (i + 1) & (kLayerStreamLength - 1);
+  }
+}
+BENCHMARK(BM_RowBufferAccess);
 
 void BM_TimedProcessRead(benchmark::State& state) {
   MachineConfig config;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "src/host/thread_pool.h"
 #include "src/kernel/khugepaged.h"
@@ -11,14 +13,29 @@
 
 namespace vusion {
 
+const char* MachineConfig::CacheKeyError() const {
+  if (frame_count > cache.max_frames()) {
+    return "frame_count exceeds the frames the LLC geometry can key";
+  }
+  if (enable_l1 && frame_count > l1_cache.max_frames()) {
+    return "frame_count exceeds the frames the L1 geometry can key";
+  }
+  return nullptr;
+}
+
 Machine::Machine(const MachineConfig& config) : config_(config), rng_(config.seed) {
   latency_ = std::make_unique<LatencyModel>(config.latency, clock_, rng_.Fork());
-  memory_ = std::make_unique<PhysicalMemory>(config.frame_count);
-  buddy_ = std::make_unique<BuddyAllocator>(*memory_);
+  // The caches check their geometry, and then the frame count against it,
+  // before physical memory is sized by that count.
   llc_ = std::make_unique<Llc>(config.cache);
   if (config.enable_l1) {
     l1_ = std::make_unique<Llc>(config.l1_cache);
   }
+  if (const char* error = config.CacheKeyError()) {
+    throw std::invalid_argument(std::string("Machine: ") + error);
+  }
+  memory_ = std::make_unique<PhysicalMemory>(config.frame_count);
+  buddy_ = std::make_unique<BuddyAllocator>(*memory_);
   dram_mapping_ = std::make_unique<DramMapping>(config.dram);
   row_buffer_ = std::make_unique<RowBuffer>(*dram_mapping_, clock_);
   rowhammer_ = std::make_unique<RowhammerEngine>(*dram_mapping_, *row_buffer_, *memory_);

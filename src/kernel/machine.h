@@ -45,6 +45,12 @@ struct MachineConfig {
   DramConfig dram;
   LatencyConfig latency;
   std::uint64_t seed = 42;
+
+  // Why the enabled caches cannot key a line of every frame, or nullptr if
+  // they can (CacheConfig::max_frames; the geometries must be valid). Machine
+  // construction throws std::invalid_argument on it, and snapshot config
+  // decoding fails with "config".
+  [[nodiscard]] const char* CacheKeyError() const;
 };
 
 class Machine {

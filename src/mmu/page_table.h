@@ -9,6 +9,7 @@
 #ifndef VUSION_SRC_MMU_PAGE_TABLE_H_
 #define VUSION_SRC_MMU_PAGE_TABLE_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -64,10 +65,24 @@ class PageTable {
   }
   [[nodiscard]] const Pte* Resolve(Vpn vpn) const;
 
+  // Physical addresses of the page-table entries a walk examined, top level
+  // first: at most one per level, held in place so a TLB miss allocates nothing.
+  class WalkEntries {
+   public:
+    void push_back(PhysAddr addr) { addrs_[size_++] = addr; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    PhysAddr operator[](std::size_t i) const { return addrs_[i]; }
+    [[nodiscard]] const PhysAddr* begin() const { return addrs_.data(); }
+    [[nodiscard]] const PhysAddr* end() const { return addrs_.data() + size_; }
+
+   private:
+    std::array<PhysAddr, kPageTableLevels> addrs_{};
+    std::size_t size_ = 0;
+  };
+
   struct WalkResult {
     Pte* pte = nullptr;
-    // Physical addresses of the page-table entries examined, top level first.
-    std::vector<PhysAddr> touched;
+    WalkEntries touched;
   };
 
   // Like Resolve(create=false) but reports the PT entry addresses touched, for the

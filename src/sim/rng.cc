@@ -24,32 +24,8 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Rng::NextBelow(std::uint64_t bound) {
-  // Lemire's nearly-divisionless method with rejection for exact uniformity.
-  __uint128_t m = static_cast<__uint128_t>(Next()) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      m = static_cast<__uint128_t>(Next()) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::uint64_t Rng::NextInRange(std::uint64_t lo, std::uint64_t hi) {
   return lo + NextBelow(hi - lo + 1);
-}
-
-bool Rng::NextBool(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return NextDouble() < p;
 }
 
 void Rng::Shuffle(std::vector<std::uint32_t>& values) {

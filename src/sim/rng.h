@@ -32,9 +32,10 @@ inline GaussianPair BoxMuller(double u1, double u2) {
 
 // xoshiro256++ PRNG. Not cryptographic; used only for simulation decisions.
 //
-// The generator core and the gaussian/log-normal draws are defined inline: the
-// latency model draws noise on every charge, so these sit on the scan loop's
-// hot path and the cross-TU call overhead is measurable there.
+// The generator core and the bounded, boolean, gaussian and log-normal draws
+// are defined inline: the latency model draws noise on every charge and the
+// workload loops draw several values per access, so these sit on hot paths
+// where the cross-TU call overhead is measurable.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed);
@@ -52,8 +53,20 @@ class Rng {
     return result;
   }
 
-  // Uniform in [0, bound). bound must be > 0. Uses Lemire rejection to avoid bias.
-  std::uint64_t NextBelow(std::uint64_t bound);
+  // Uniform in [0, bound). bound must be > 0. Lemire's nearly-divisionless
+  // method, with rejection for exact uniformity.
+  std::uint64_t NextBelow(std::uint64_t bound) {
+    __uint128_t m = static_cast<__uint128_t>(Next()) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        m = static_cast<__uint128_t>(Next()) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   // Uniform in [lo, hi] inclusive. Requires lo <= hi.
   std::uint64_t NextInRange(std::uint64_t lo, std::uint64_t hi);
@@ -62,7 +75,15 @@ class Rng {
   double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   // True with probability p (clamped to [0,1]).
-  bool NextBool(double p);
+  bool NextBool(double p) {
+    if (p <= 0.0) {
+      return false;
+    }
+    if (p >= 1.0) {
+      return true;
+    }
+    return NextDouble() < p;
+  }
 
   // Standard normal via Box-Muller. The transform yields two independent
   // normals per uniform pair; the second is cached and returned by the next

@@ -131,6 +131,9 @@ inline MachineConfig ReadMachineConfig(SnapshotReader& r) {
   c.dram = ReadDramConfig(r);
   c.latency = ReadLatencyConfig(r);
   c.seed = r.U64();
+  if (const char* error = c.CacheKeyError()) {
+    throw RestoreError("config", error);
+  }
   return c;
 }
 

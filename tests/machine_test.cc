@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/kernel/process.h"
 
 namespace vusion {
@@ -168,6 +170,30 @@ TEST(MachineTest, L1CanBeDisabled) {
   const SimTime hot = p.TimedRead(base + 64);  // best case is an LLC hit now
   EXPECT_EQ(hot,
             machine.latency().config().llc_hit + machine.latency().config().tlb_lookup);
+}
+
+// A cache keys lines in 32 bits (CacheConfig::max_frames): one LLC set of 64 B
+// lines keys 2^26 - 1 frames, so a machine with more is rejected before its
+// physical memory is sized.
+TEST(MachineTest, RejectsMoreFramesThanTheCachesCanKey) {
+  MachineConfig config = SmallMachine();
+  config.cache = CacheConfig{.line_size = 64, .ways = 16, .sets = 1};
+  config.frame_count = FrameId{1} << 26;
+  EXPECT_NE(config.CacheKeyError(), nullptr);
+  EXPECT_THROW(Machine{config}, std::invalid_argument);
+  config.frame_count = (FrameId{1} << 26) - 1;
+  EXPECT_EQ(config.CacheKeyError(), nullptr);
+
+  config = SmallMachine();
+  config.l1_cache = CacheConfig{.line_size = 64, .ways = 8, .sets = 1};
+  config.frame_count = FrameId{1} << 26;
+  EXPECT_THROW(Machine{config}, std::invalid_argument);
+  config.enable_l1 = false;  // a disabled L1 keys nothing
+  EXPECT_EQ(config.CacheKeyError(), nullptr);
+  // The default geometries key every frame below kInvalidFrame.
+  config = MachineConfig{};
+  config.frame_count = kInvalidFrame;
+  EXPECT_EQ(config.CacheKeyError(), nullptr);
 }
 
 TEST(MachineTest, FlushFrameEvictsAllLevels) {

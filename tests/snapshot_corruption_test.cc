@@ -229,6 +229,25 @@ TEST_F(SnapshotCorruptionTest, BadCacheGeometryBehindValidChecksumRejected) {
   }
 }
 
+TEST_F(SnapshotCorruptionTest, FrameCountPastCacheKeysBehindValidChecksumRejected) {
+  const snapshot::SnapshotInfo info = snapshot::InspectSnapshot(image());
+  const auto& config = info.sections.front();
+  ASSERT_EQ(config.name, "config");
+  // One LLC set of 64 B lines keys 2^26 - 1 frames (CacheConfig::max_frames):
+  // the decoder must refuse 2^26 before a Machine sizes memory by it.
+  constexpr std::size_t kFrameCountDelta = 0;
+  constexpr std::size_t kSetsDelta = 20;
+  std::string buffer = PatchSealedLe(image(), config, kSetsDelta, 1, 8);
+  buffer = PatchSealedLe(buffer, config, kFrameCountDelta, std::uint64_t{1} << 26, 4);
+  try {
+    snapshot::RestoredMachine restored = snapshot::RestoreSnapshot(buffer);
+    ADD_FAILURE() << "frame count past the LLC's keys restored";
+  } catch (const snapshot::RestoreError& e) {
+    EXPECT_EQ(e.section(), "config");
+    EXPECT_NE(std::string(e.what()).find("key"), std::string::npos) << e.what();
+  }
+}
+
 TEST_F(SnapshotCorruptionTest, DamagedNoiseBatchBehindValidChecksumRejected) {
   const auto latency = FindSection(image(), "latency");
   // The section ends with the batch: 64 gaussians, 64 factors, the sigma the
