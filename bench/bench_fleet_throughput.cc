@@ -450,7 +450,6 @@ int main(int argc, char** argv) {
   // would silently skew every run the same way and hide scaling.
   ::unsetenv("VUSION_FLEET_THREADS");
   ::unsetenv("VUSION_SCAN_THREADS");
-  ::unsetenv("VUSION_DELTA_SCAN");
   ::unsetenv("VUSION_SCAN_STREAMING");
   ::unsetenv("VUSION_SCAN_CHUNK");
   vusion::ParseArgs(argc, argv);

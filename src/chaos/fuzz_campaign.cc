@@ -55,9 +55,6 @@ std::string FuzzCampaign::ReproCommand(
       << " --seed " << options_.seed << " --steps " << options_.steps
       << " --threads " << options_.scan_threads << " --rate "
       << options_.fault_rate << " --audit-epoch " << options_.audit_epoch;
-  if (options_.delta_scan) {
-    cmd << " --delta";
-  }
   if (options_.snapshot_interval > 0) {
     cmd << " --snapshot-interval " << options_.snapshot_interval;
   }
@@ -261,7 +258,6 @@ CampaignResult FuzzCampaign::RunOnce(const std::vector<FaultRecord>* schedule,
   fusion_config.pool_frames = 512;
   fusion_config.wpf_period = 10 * kMillisecond;
   fusion_config.scan_threads = options_.scan_threads;
-  fusion_config.delta_scan = options_.delta_scan;
   if (options_.engine == EngineKind::kMemoryCombining) {
     // Permanent pressure so the swap-cache engine actually acts.
     fusion_config.mc_low_watermark = machine_config.frame_count;

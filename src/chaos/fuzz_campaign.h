@@ -24,7 +24,6 @@ struct CampaignOptions {
   std::uint64_t seed = 1;
   std::size_t steps = 400;        // workload events per campaign
   std::size_t scan_threads = 1;   // engine scan pipeline width
-  bool delta_scan = false;        // epoch-based delta scanning (pass cache)
   double fault_rate = 0.01;       // per-visit injection probability, all sites
   std::size_t audit_epoch = 1;    // audit every N events (1 = slow mode)
   bool shrink = true;             // minimize the schedule on failure

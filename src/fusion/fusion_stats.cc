@@ -12,10 +12,6 @@ void FusionConfig::ApplyEnvOverrides() {
       scan_threads = static_cast<std::size_t>(threads);
     }
   }
-  if (const char* env = std::getenv("VUSION_DELTA_SCAN")) {
-    const long value = std::strtol(env, nullptr, 10);
-    delta_scan = value != 0;
-  }
   if (const char* env = std::getenv("VUSION_SCAN_STREAMING")) {
     const long value = std::strtol(env, nullptr, 10);
     scan_streaming = value != 0;

@@ -86,17 +86,6 @@ struct FusionConfig {
   // measures the gap; the fingerprint-parity test proves the identity.
   bool byte_ordered_trees = false;
 
-  // Epoch-based delta scanning: memoize each page's scan conclusion and, while
-  // the page's write epoch / backing frame / content generation are unchanged,
-  // replay the recorded charge-and-stats sequence instead of re-resolving the
-  // PTE, re-hashing, and re-descending the trees. Simulated stats, traces, and
-  // timestamps are bit-identical with the flag off (the delta parity suite
-  // proves it); only host wall-clock changes. Implied off when
-  // byte_ordered_trees is set (the ablation wants the reference host path).
-  // The VUSION_DELTA_SCAN environment variable (0/1) overrides this via
-  // ApplyEnvOverrides.
-  bool delta_scan = false;
-
   // Memory Combining (swap-cache-only dedup, §10.1 related work):
   std::size_t mc_low_watermark = 1024;   // swap out when free frames drop below
   std::size_t mc_swap_batch = 512;       // pages swapped per pressure episode
@@ -104,7 +93,6 @@ struct FusionConfig {
 
   // Applies recognized environment overrides (see README "Environment overrides"):
   //   VUSION_SCAN_THREADS    — scan_threads (positive integer)
-  //   VUSION_DELTA_SCAN      — delta_scan (0 or 1)
   //   VUSION_SCAN_STREAMING  — scan_streaming (0 or 1)
   //   VUSION_SCAN_CHUNK      — scan_chunk_pages (positive integer; 0 = auto)
   // MakeEngine and Scenario call this; direct engine construction does not, so

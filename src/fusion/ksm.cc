@@ -38,25 +38,14 @@ Ksm::Ksm(Machine& machine, const FusionConfig& config)
       cursor_(machine),
       pipeline_(machine.memory(), machine.HostPool(config_.scan_threads)),
       stable_(StableCompare{this}),
-      unstable_(UnstableCompare{this}),
-      delta_mode_(config.delta_scan && !config.byte_ordered_trees) {
+      unstable_(UnstableCompare{this}) {
   stable_.SetNodeArena(&arena_);
   unstable_.SetNodeArena(&arena_);
   pipeline_.ConfigureStreaming(config.scan_streaming, config.scan_chunk_pages);
-  if (delta_mode_) {
-    machine.EnableWriteEpochs();
-  }
 }
 
 Ksm::~Ksm() {
   stable_.InOrder([this](StableEntry* const& e) { arena_.Delete(e); });
-}
-
-void Ksm::ExportMetrics(MetricsRegistry& registry) const {
-  FusionEngine::ExportMetrics(registry);
-  if (delta_mode_) {
-    delta_.ExportMetrics(registry);
-  }
 }
 
 const char* Ksm::name() const {
@@ -157,16 +146,6 @@ void Ksm::ScanQuantumPipelined() {
   }
   NotifyPhase(ScanPhase::kBatchCollected);
   PruneDeadItems();
-  // With delta scanning on, phase-1 workers skip the resolve-and-hash for pages
-  // whose pass-cache entry passes the (read-only) epoch check; phase 2's
-  // TryReplay revalidates authoritatively.
-  host::ParallelScanPipeline::Phase1Probe probe;
-  if (delta_mode_) {
-    probe = [this](const host::ScanItem& item) {
-      return item.as != nullptr &&
-             delta_.PeekValid(item.pid, item.vpn, item.as->write_epochs().Get(item.vpn));
-    };
-  }
   // The kHashed boundary (and its re-prune) only exists for an armed phase
   // hook; without one, leaving between_phases null lets the pipeline take the
   // streaming shape, which has no such boundary.
@@ -193,7 +172,7 @@ void Ksm::ScanQuantumPipelined() {
         }
         ScanOne(*item.process, item.vpn);
       },
-      between_phases, probe);
+      between_phases);
 }
 
 void Ksm::PruneDeadItems() {
@@ -208,44 +187,13 @@ void Ksm::PruneDeadItems() {
 }
 
 void Ksm::ScanOne(Process& process, Vpn vpn) {
-  if (delta_mode_ && TryReplay(process, vpn)) {
-    return;
-  }
-  ScanOneFull(process, vpn);
-}
-
-void Ksm::RecordSimple(std::uint32_t pid, Vpn vpn, std::uint64_t epoch, std::uint8_t kind,
-                       FrameId frame, std::uint64_t content_gen) {
-  if (!delta_mode_) {
-    return;
-  }
-  DeltaPassCache::Entry& e = delta_.Record(pid, vpn);
-  e.kind = kind;
-  e.epoch = epoch;
-  e.frame = frame;
-  e.content_gen = content_gen;
-}
-
-void Ksm::ScanOneFull(Process& process, Vpn vpn) {
   ++stats_.pages_scanned;
-  AddressSpace& as = process.address_space();
   const std::uint32_t pid = process.id();
-  // Snapshot the guards before the scan body: none of the recording paths below
-  // mutate this page's PTE, so the snapshot is the entry's valid-from point.
-  const std::uint64_t epoch = delta_mode_ ? as.write_epochs().GetFast(vpn) : 0;
-  Pte* pte = as.GetPte(vpn);
-  if (pte == nullptr || !pte->present()) {
-    RecordSimple(pid, vpn, epoch, kDeltaSkip, kInvalidFrame, 0);
-    return;
-  }
-  if (pte->reserved_trap()) {
-    // In the copy-on-access variant merged pages themselves carry the reserved
-    // trap, so the rmap still decides merged-vs-skipped on this branch.
-    if (config_.unmerge_on_any_access && rmap_.contains(KeyOf(process, vpn))) {
-      RecordSimple(pid, vpn, epoch, kDeltaMerged, kInvalidFrame, 0);
-      return;
-    }
-    RecordSimple(pid, vpn, epoch, kDeltaSkip, kInvalidFrame, 0);
+  Pte* pte = process.address_space().GetPte(vpn);
+  // Unmapped pages and reserved-bit traps are skipped. In the copy-on-access
+  // variant merged pages themselves carry the reserved trap; they are skipped
+  // too, since they are already merged.
+  if (pte == nullptr || !pte->present() || pte->reserved_trap()) {
     return;
   }
   FrameId frame = pte->frame;
@@ -255,33 +203,20 @@ void Ksm::ScanOneFull(Process& process, Vpn vpn) {
   PhysicalMemory& memory = machine_->memory();
   // Peek the next page's PTE — for 511 of 512 vpns it is the adjacent entry in
   // the same leaf table, already in cache — and warm its frame's metadata line
-  // (refcount, hash memo) a whole page-scan ahead of its own scan. The rmap
-  // slot is likewise prefetched a page early; it is the one genuinely random
-  // access on the shared-frame path below.
+  // (refcount, hash memo) a whole page-scan ahead of its own scan.
   if (!pte->huge() && (vpn & (kPagesPerHugePage - 1)) != kPagesPerHugePage - 1) {
     const Pte& next = pte[1];
     if (next.present() && !next.huge()) {
       memory.PrefetchFrame(next.frame);
     }
   }
-  rmap_.Prefetch(KeyOf(process, vpn + 1));
   if (memory.refcount(frame) > 0) {
-    // A merged page always maps a stable frame, and stable frames keep
-    // refcount == entry->refs > 0 (AuditInvariants asserts exactly this), so
-    // the rmap probe is needed only on this shared-frame path — unique pages,
-    // the common case, skip it entirely.
-    if (rmap_.contains(KeyOf(process, vpn))) {
-      RecordSimple(pid, vpn, epoch, kDeltaMerged, kInvalidFrame, 0);
-      return;  // already merged
-    }
-    // Fork-shared with another process: the kernel owns this CoW state. The
-    // refcount can drop without this page's PTE moving, so the replay rechecks
-    // it live.
-    RecordSimple(pid, vpn, epoch, kDeltaForkShared, frame, 0);
+    // Either already merged (stable frames keep refcount == entry->refs > 0;
+    // AuditInvariants asserts exactly this) or fork-shared with another
+    // process, whose CoW state the kernel owns: nothing to do.
     return;
   }
   if (config_.zero_pages_only && !memory.IsZero(frame)) {
-    RecordSimple(pid, vpn, epoch, kDeltaNotZero, frame, memory.content_generation(frame));
     return;
   }
   // content_.Hash(frame) — the per-scan checksum KSM computes — unrolled so the
@@ -305,97 +240,11 @@ void Ksm::ScanOneFull(Process& process, Vpn vpn) {
     return;
   }
 
-  // 2) + 3) Unstable lookup and checksum-gated insert, shared with the replay.
-  UniqueTail(process, vpn, frame, hash, epoch, /*replay=*/false);
-}
-
-// Replays the recorded conclusion for one page. The hard contract: the charge
-// sequence (each Charge() call, in order, with the same base costs), the stats
-// and trace effects, and every chaos-site consultation must be exactly those of
-// ScanOneFull on an unchanged page — the parity suite compares all of them
-// bit-for-bit. Host-side, the replay skips the PTE walk, rmap/checksum lookups,
-// the hashing (memoized), and both tree descents.
-bool Ksm::TryReplay(Process& process, Vpn vpn) {
-  AddressSpace& as = process.address_space();
-  const std::uint32_t pid = process.id();
-  DeltaPassCache::Entry* e = delta_.Probe(pid, vpn, as.write_epochs().GetFast(vpn));
-  if (e == nullptr) {
-    return false;
-  }
-  PhysicalMemory& memory = machine_->memory();
-  switch (e->kind) {
-    case kDeltaSkip:
-    case kDeltaMerged:
-      // Unmapping, unmerging, or re-mapping all bump the write epoch; with the
-      // epoch unchanged the full path would conclude "nothing to do" again.
-      delta_.NoteReplay();
-      ++stats_.pages_scanned;
-      return true;
-    case kDeltaForkShared:
-      if (memory.refcount(e->frame) == 0) {
-        delta_.Reject(pid, vpn);
-        return false;
-      }
-      delta_.NoteReplay();
-      ++stats_.pages_scanned;
-      return true;
-    case kDeltaNotZero:
-      if (memory.content_generation(e->frame) != e->content_gen ||
-          memory.refcount(e->frame) != 0) {
-        delta_.Reject(pid, vpn);
-        return false;
-      }
-      delta_.NoteReplay();
-      ++stats_.pages_scanned;
-      return true;
-    case kDeltaUnique: {
-      if (memory.content_generation(e->frame) != e->content_gen ||
-          memory.refcount(e->frame) != 0) {
-        delta_.Reject(pid, vpn);
-        return false;
-      }
-      delta_.NoteReplay();
-      ++stats_.pages_scanned;
-      const FrameId frame = e->frame;
-      const std::uint64_t epoch = e->epoch;
-      // Same content generation => content_.Hash re-issues the same charge and
-      // returns the same (frame-memoized) hash the full path computed.
-      const std::uint64_t hash = content_.Hash(frame);
-      content_.ChargeTreeDescend(stable_.size());
-      if (e->stable_version != stable_version_ ||
-          e->shared_muts != memory.shared_content_mutations()) {
-        // The stable tree's membership (or a shared frame's content) moved since
-        // the verdict was recorded: the "no stable match" conclusion may be
-        // stale, so run the real lookup this pass.
-        if (StableEntry* entry = StableLookup(frame, hash); entry != nullptr) {
-          delta_.Invalidate(pid, vpn);
-          MergeInto(process, vpn, entry);
-          return true;
-        }
-        e->stable_version = stable_version_;
-        e->shared_muts = memory.shared_content_mutations();
-      }
-      UniqueTail(process, vpn, frame, hash, epoch, /*replay=*/true);
-      return true;
-    }
-    default:
-      delta_.Reject(pid, vpn);
-      return false;
-  }
-}
-
-// Steps 2 (unstable lookup, Figure 1-B) and 3 (checksum-gated unstable insert,
-// Figure 1-C) of the scan flow. Shared verbatim between ScanOneFull and the
-// kDeltaUnique replay so their charge/stats/trace streams cannot diverge; the
-// only replay differences are the checksum-map read (provably gate-pass, see
-// below) and pass-cache maintenance.
-void Ksm::UniqueTail(Process& process, Vpn vpn, FrameId frame, std::uint64_t hash,
-                     std::uint64_t epoch, bool replay) {
-  const std::uint32_t pid = process.id();
-  // One descend charge covers both the lookup and the insert below: KSM's
-  // unstable_tree_search_insert is a single rb-tree walk that either finds a
-  // match or links the new node at the leaf the search ended on, so charging
-  // the insert as a second full descent would double-count the walk.
+  // 2) Unstable lookup (Figure 1-B). One descend charge covers both the lookup
+  // and the insert below: KSM's unstable_tree_search_insert is a single rb-tree
+  // walk that either finds a match or links the new node at the leaf the search
+  // ended on, so charging the insert as a second full descent would
+  // double-count the walk.
   content_.ChargeTreeDescend(UnstableSize());
   UnstableItem item;
   if (UnstableFindRemove(hash, frame, &item)) {
@@ -403,21 +252,16 @@ void Ksm::UniqueTail(Process& process, Vpn vpn, FrameId frame, std::uint64_t has
     if (!self && UnstableStillValid(item)) {
       StableEntry* entry = Stabilize(item);
       if (entry != nullptr) {
-        if (replay) {
-          // The page is merging (or the merge aborts below): either way the
-          // memoized "unique" verdict is dead. Dropping it before MergeInto also
-          // guarantees a chaos merge-abort can never leave a stale entry whose
-          // recorded hash outlives the aborted merge.
-          delta_.Invalidate(pid, vpn);
-        }
         MergeInto(process, vpn, entry);
         return;
       }
     }
     // Stale match: fall through and treat the scanned page as unmatched.
   }
-  // The checksum KSM would recompute here is the hash from above (same frame,
-  // same pass, same FNV stream).
+
+  // 3) Checksum-gated unstable insert (Figure 1-C). The checksum KSM would
+  // recompute here is the hash from above (same frame, same pass, same FNV
+  // stream).
   const std::uint64_t checksum = hash;
   if (FaultInjector* injector = chaos();
       injector != nullptr && injector->ShouldFail(FaultSite::kStaleChecksum)) {
@@ -425,47 +269,15 @@ void Ksm::UniqueTail(Process& process, Vpn vpn, FrameId frame, std::uint64_t has
     // unstable-tree insertion to a later round (graceful skip, never corrupt).
     injector->RecordDegradation();
     ChecksumsFor(pid)[vpn] = ~checksum;
-    if (replay) {
-      // The stored checksum no longer matches the page's hash, so the uniform
-      // replay shape below would be wrong next pass: force a full rescan.
-      delta_.Invalidate(pid, vpn);
-    }
     return;
   }
-  if (!replay) {
-    auto& proc_checksums = ChecksumsFor(pid);
-    const std::uint64_t* stored = proc_checksums.find(vpn);
-    const bool gate_pass = stored != nullptr && *stored == checksum;
-    if (!gate_pass) {
-      proc_checksums.insert_or_assign(vpn, checksum);
-    }
-    // Whether the gate passed (and we insert below) or failed (we just stored
-    // the checksum), the stored value now equals the page's hash — so an
-    // unchanged page provably gate-passes on its NEXT pass and inserts. That is
-    // the single conclusion the entry memoizes, which is why both sub-paths
-    // record the same kDeltaUnique entry and the replay never reads the map.
-    RecordUnique(pid, vpn, epoch, frame, hash);
-    if (!gate_pass) {
-      return;
-    }
+  ChecksumMap& checksums = ChecksumsFor(pid);
+  const std::uint64_t* stored = checksums.find(vpn);
+  if (stored == nullptr || *stored != checksum) {
+    checksums.insert_or_assign(vpn, checksum);
+    return;
   }
   UnstableInsert(UnstableItem{frame, &process, vpn, hash});
-}
-
-void Ksm::RecordUnique(std::uint32_t pid, Vpn vpn, std::uint64_t epoch, FrameId frame,
-                       std::uint64_t hash) {
-  if (!delta_mode_) {
-    return;
-  }
-  PhysicalMemory& memory = machine_->memory();
-  DeltaPassCache::Entry& e = delta_.Record(pid, vpn);
-  e.kind = kDeltaUnique;
-  e.epoch = epoch;
-  e.frame = frame;
-  e.content_gen = memory.content_generation(frame);
-  e.hash = hash;
-  e.stable_version = stable_version_;
-  e.shared_muts = memory.shared_content_mutations();
 }
 
 bool Ksm::UnstableFindRemoveTree(FrameId frame, UnstableItem* out) {
@@ -703,16 +515,12 @@ Ksm::StableEntry* Ksm::Stabilize(const UnstableItem& item) {
   auto [node, steps] = stable_.Insert(entry);
   entry->node = node;
   StableIndexInsert(entry);
-  ++stable_version_;
   const auto accessed = static_cast<std::uint16_t>(pte->flags & kPteAccessed);
   LatencyModel& lm = machine_->latency();
   lm.Charge(lm.config().pte_update);
   item.process->address_space().SetPte(item.vpn, Pte{entry->frame, MergedFlags(accessed)});
   machine_->memory().SetRefcount(entry->frame, 1);
   rmap_[KeyOf(*item.process, item.vpn)] = entry;
-  if (delta_mode_) {
-    delta_.Invalidate(item.process->id(), item.vpn);
-  }
   return entry;
 }
 
@@ -735,9 +543,6 @@ void Ksm::MergeInto(Process& process, Vpn vpn, StableEntry* entry) {
   LatencyModel& lm = machine_->latency();
   lm.Charge(lm.config().pte_update);
   as.SetPte(vpn, Pte{entry->frame, MergedFlags(accessed)});
-  if (delta_mode_) {
-    delta_.Invalidate(process.id(), vpn);
-  }
   ++entry->refs;
   ++frames_saved_;
   machine_->memory().SetRefcount(entry->frame, entry->refs);
@@ -771,7 +576,6 @@ void Ksm::DropRef(StableEntry* entry) {
   if (entry->refs == 0) {
     stable_.Remove(entry->node);
     StableIndexRemove(entry);
-    ++stable_version_;
     machine_->FlushFrame(entry->frame);
     LatencyModel& lm = machine_->latency();
     lm.Charge(lm.config().buddy_free);
@@ -799,9 +603,6 @@ bool Ksm::BreakCow(Process& process, Vpn vpn, StableEntry* entry,
                                                        kPteAccessed | extra_flags)});
   rmap_.erase(KeyOf(process, vpn));
   DropRef(entry);
-  if (delta_mode_) {
-    delta_.Invalidate(process.id(), vpn);
-  }
   return true;
 }
 
@@ -860,9 +661,6 @@ bool Ksm::OnUnmap(Process& process, Vpn vpn) {
   StableEntry* entry = *found;
   rmap_.erase(key);
   DropRef(entry);
-  if (delta_mode_) {
-    delta_.Invalidate(process.id(), vpn);
-  }
   return true;
 }
 
@@ -870,13 +668,10 @@ void Ksm::OnProcessDestroy(Process& process) {
   // The unstable tree holds raw (process, vpn) references; it is rebuilt every
   // round anyway, so clearing it is the faithful equivalent of the kernel's
   // remove_node_from_tree on exit. Checksums of the dead process are dropped in
-  // O(its pages) thanks to the per-process index, and so is its pass-cache
-  // bucket (the address space dies with the process, so no epoch will ever
-  // re-validate those entries).
+  // O(its pages) thanks to the per-process index.
   UnstableClear();
   checksum_memo_ = nullptr;
   checksums_.erase(process.id());
-  delta_.DropProcess(process.id());
 }
 
 bool Ksm::AllowCollapse(Process& process, Vpn base) {
@@ -978,35 +773,6 @@ void Ksm::AuditInvariants(AuditContext& ctx) const {
       return "ksm: checksum index for dead process " + std::to_string(pid);
     });
   }
-
-  // Delta pass cache: entries may be stale (guards catch that at probe time) but
-  // must never reference dead processes, and an epoch-current entry must agree
-  // with the world it claims to memoize.
-  delta_.ForEach([&](std::uint32_t pid, Vpn vpn, const DeltaPassCache::Entry& e) {
-    if (!ctx.Check(pid < processes.size() && processes[pid] != nullptr, [&] {
-          return "ksm: delta entry for dead process " + std::to_string(pid);
-        })) {
-      return;
-    }
-    const AddressSpace& as = processes[pid]->address_space();
-    if (as.write_epochs().Get(vpn) != e.epoch) {
-      return;  // stale; the next probe drops it
-    }
-    if (e.kind == kDeltaMerged) {
-      ctx.Check(rmap_.contains((static_cast<std::uint64_t>(pid) << 40) ^ vpn), [&] {
-        return "ksm: epoch-current kDeltaMerged entry for unmerged page (" +
-               std::to_string(pid) + "," + std::to_string(vpn) + ")";
-      });
-    }
-    if (e.kind == kDeltaUnique &&
-        machine_->memory().content_generation(e.frame) == e.content_gen) {
-      ctx.Check(machine_->memory().HashContent(e.frame) == e.hash, [&] {
-        return "ksm: delta entry for (" + std::to_string(pid) + "," +
-               std::to_string(vpn) + ") memoizes a stale hash for frame " +
-               std::to_string(e.frame);
-      });
-    }
-  });
 }
 
 // --- Savestates (DESIGN.md §13) ---
@@ -1164,8 +930,6 @@ void Ksm::SaveState(snapshot::SnapshotWriter& w) const {
   }
 
   w.U64(frames_saved_);
-  w.U64(stable_version_);
-  delta_.SaveState(w, [](std::uint8_t, void*) -> std::uint64_t { return 0; });
 }
 
 void Ksm::RestoreState(snapshot::SnapshotReader& r) {
@@ -1291,13 +1055,6 @@ void Ksm::RestoreState(snapshot::SnapshotReader& r) {
   }
 
   frames_saved_ = r.U64();
-  stable_version_ = r.U64();
-  delta_.RestoreState(r, [](std::uint8_t, std::uint64_t code) -> void* {
-    if (code != 0) {
-      throw snapshot::RestoreError("engine", "unexpected delta ref in KSM cache");
-    }
-    return nullptr;
-  });
 
   if (!ValidateTrees()) {
     throw snapshot::RestoreError("engine", "restored KSM trees fail validation");

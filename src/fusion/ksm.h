@@ -22,7 +22,6 @@
 #include "src/container/flat_map.h"
 #include "src/container/rbtree.h"
 #include "src/fusion/content.h"
-#include "src/fusion/delta_scan.h"
 #include "src/fusion/fusion_engine.h"
 
 namespace vusion {
@@ -53,9 +52,7 @@ class Ksm final : public FusionEngine {
 
   [[nodiscard]] std::size_t stable_size() const { return stable_.size(); }
   [[nodiscard]] std::size_t unstable_size() const { return UnstableSize(); }
-  [[nodiscard]] const DeltaPassCache& delta_cache() const { return delta_; }
 
-  void ExportMetrics(MetricsRegistry& registry) const override;
   [[nodiscard]] bool ValidateTrees() const {
     return stable_.ValidateInvariants() && unstable_.ValidateInvariants() &&
            ValidateUnstableChains();
@@ -110,41 +107,19 @@ class Ksm final : public FusionEngine {
     StableEntry* index_next = nullptr;
   };
 
-  // Pass-cache entry kinds (DeltaPassCache::Entry::kind): the first conclusive
-  // branch the full scan took for the page. See TryReplay for each kind's
-  // validity guards and replayed effects.
-  enum DeltaKind : std::uint8_t {
-    kDeltaSkip = 1,        // PTE absent / not present / reserved trap
-    kDeltaMerged = 2,      // rmap hit: page already merged
-    kDeltaForkShared = 3,  // frame refcount > 0: kernel-owned CoW state
-    kDeltaNotZero = 4,     // zero_pages_only mode, frame not zero
-    kDeltaUnique = 5,      // full flow ended in the checksum-gate/insert tail
-  };
-
   static std::uint64_t KeyOf(const Process& process, Vpn vpn) {
     return (static_cast<std::uint64_t>(process.id()) << 40) ^ vpn;
   }
 
+  // One page of the scan flow (Figure 1): stable lookup, unstable lookup and
+  // match, checksum-gated unstable insert.
   void ScanOne(Process& process, Vpn vpn);
-  // Replays the memoized conclusion for (process, vpn) if its guards hold;
-  // returns false (after dropping the entry) to fall back to the full scan.
-  bool TryReplay(Process& process, Vpn vpn);
-  void ScanOneFull(Process& process, Vpn vpn);
-  // The unstable-tree lookup/match and checksum-gated insert shared verbatim by
-  // the full scan and the kDeltaUnique replay (see DESIGN.md §10).
-  void UniqueTail(Process& process, Vpn vpn, FrameId frame, std::uint64_t hash,
-                  std::uint64_t epoch, bool replay);
-  void RecordSimple(std::uint32_t pid, Vpn vpn, std::uint64_t epoch, std::uint8_t kind,
-                    FrameId frame, std::uint64_t content_gen);
-  void RecordUnique(std::uint32_t pid, Vpn vpn, std::uint64_t epoch, FrameId frame,
-                    std::uint64_t hash);
 
   // --- Unstable-tree facade ---
   //
-  // All unstable-tree access goes through these so the conceptual tree — real
-  // nodes plus delta-deferred pending inserts — stays consistent with the
-  // fingerprint multiset used for the Find fast-out, and so charged descend
-  // costs (a function of conceptual size) are identical with delta on or off.
+  // All unstable-tree access goes through these, so the conceptual tree (the
+  // rb-tree in byte-ordered mode, the per-hash chains in fingerprint mode)
+  // stays consistent with the size the charged descend cost is a function of.
   [[nodiscard]] std::size_t UnstableSize() const {
     return content_.byte_ordered() ? unstable_.size() : unstable_live_;
   }
@@ -180,7 +155,7 @@ class Ksm final : public FusionEngine {
     if ((fps_used_ + 1) * 2 > fps_slots_.size()) {
       FpGrow();
     }
-    // UniqueTail's find already walked this hash's probe chain; resume at its
+    // ScanOne's find already walked this hash's probe chain; resume at its
     // terminal slot (the match, or the empty slot the find stopped on) instead of
     // re-probing from the home index.
     std::size_t i = (fps_memo_idx_ != ~std::size_t{0} && fps_memo_hash_ == item.sort_hash)
@@ -280,14 +255,13 @@ class Ksm final : public FusionEngine {
   UnstableTree unstable_;
   // Insert-time hashes of every conceptual unstable item (fingerprint mode
   // only). A probe hash absent here cannot match any node — sort_hash keys are
-  // immutable — so UnstableFind skips the descent (and, under delta, skips
-  // materializing the tree at all). Stored as a round-stamped open-addressed
-  // table (linear probing, fixed-size slots): a slot counts only while its stamp
-  // matches fps_round_, so the per-round clear is one round bump and the
-  // steady-state insert re-stamps the slot the same hash claimed last round —
-  // one cache line touched, nothing allocated. stamp 0 marks a never-used slot
-  // (rounds start at 1); old-stamped slots are dead weight that FpGrow()
-  // compacts away when they come to dominate the table.
+  // immutable — so UnstableFind skips the descent. Stored as a round-stamped
+  // open-addressed table (linear probing, fixed-size slots): a slot counts only
+  // while its stamp matches fps_round_, so the per-round clear is one round bump
+  // and the steady-state insert re-stamps the slot the same hash claimed last
+  // round — one cache line touched, nothing allocated. stamp 0 marks a
+  // never-used slot (rounds start at 1); old-stamped slots are dead weight that
+  // FpGrow() compacts away when they come to dominate the table.
   // A slot also heads this round's chain of items inserted with its hash: the
   // chain (head -> tail through UnstableNode::next, insertion order) IS the
   // fingerprint-mode unstable structure; no rb-tree is materialized at all.
@@ -303,7 +277,7 @@ class Ksm final : public FusionEngine {
   }
   // Probes for the slot claimed by `hash` (any round), memoizing the terminal
   // probe index — the matching slot, or the empty slot an insert of this hash
-  // would claim — so UniqueTail's find-then-insert pair walks the probe chain
+  // would claim — so ScanOne's find-then-insert pair walks the probe chain
   // once, not twice.
   [[nodiscard]] FpSlot* FpFind(std::uint64_t hash) {
     if (fps_slots_.empty()) {
@@ -369,12 +343,6 @@ class Ksm final : public FusionEngine {
   ChecksumMap* checksum_memo_ = nullptr;
   std::uint32_t checksum_memo_pid_ = 0;
   std::uint64_t frames_saved_ = 0;
-  // Bumped on every stable-tree membership change; with an unchanged version
-  // (and no shared-frame content mutation) a recorded "no stable match" verdict
-  // for an unchanged page is still exact, so the replay skips the stable Find.
-  std::uint64_t stable_version_ = 0;
-  DeltaPassCache delta_;
-  bool delta_mode_ = false;
 };
 
 }  // namespace vusion

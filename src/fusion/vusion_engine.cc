@@ -23,8 +23,7 @@ VUsionEngine::VUsionEngine(Machine& machine, const FusionConfig& config)
       pipeline_(machine.memory(), machine.HostPool(config_.scan_threads)),
       stable_(StableCompare{this}),
       pool_(machine.buddy(), config.pool_frames, machine.rng().Fork()),
-      deferred_(machine),
-      delta_mode_(config.delta_scan) {
+      deferred_(machine) {
   stable_.SetNodeArena(&arena_);
   pipeline_.ConfigureStreaming(config.scan_streaming, config.scan_chunk_pages);
 }
@@ -45,9 +44,6 @@ void VUsionEngine::ExportMetrics(MetricsRegistry& registry) const {
   registry.GetGauge("deferred_free.pending").Set(static_cast<double>(deferred_.pending()));
   registry.GetGauge("fusion.round").Set(static_cast<double>(round_));
   registry.GetGauge("fusion.stable_tree_size").Set(static_cast<double>(stable_.size()));
-  if (delta_mode_) {
-    delta_.ExportMetrics(registry);
-  }
 }
 
 FrameId VUsionEngine::AllocBacking() {
@@ -183,14 +179,6 @@ void VUsionEngine::ScanQuantumPipelined() {
         pte.frame + (pte.huge() ? (item.vpn & (kPagesPerHugePage - 1)) : 0);
     return machine_->memory().refcount(frame) == 0;  // fork-shared: kernel's CoW
   };
-  host::ParallelScanPipeline::Phase1Probe probe;
-  if (delta_mode_) {
-    // Managed pages replay without a PTE resolve or hash; a valid entry in
-    // phase 1 stays valid through phase 2 (nothing mutates the cache between).
-    probe = [this](const host::ScanItem& item) {
-      return delta_.PeekValid(item.pid, item.vpn, /*epoch=*/0);
-    };
-  }
   // The kHashed boundary only exists for an armed phase hook; leaving
   // between_phases null otherwise lets the pipeline take the streaming shape.
   std::function<void()> between_phases;
@@ -216,7 +204,7 @@ void VUsionEngine::ScanQuantumPipelined() {
         }
         ScanOne(*item.process, item.vpn);
       },
-      between_phases, probe);
+      between_phases);
 }
 
 void VUsionEngine::PruneDeadItems() {
@@ -230,30 +218,7 @@ void VUsionEngine::PruneDeadItems() {
   }
 }
 
-bool VUsionEngine::TryReplay(Process& process, Vpn vpn) {
-  // Entries are recorded with epoch 0 and never epoch-checked: validity is
-  // enforced by the hooks (UnmergeTo success, OnUnmap, process teardown), which
-  // drop the entry at the moment the page stops being managed.
-  DeltaPassCache::Entry* e = delta_.Probe(process.id(), vpn, 0);
-  if (e == nullptr) {
-    return false;
-  }
-  if (e->kind != kVuManaged || e->ref == nullptr) {
-    delta_.Reject(process.id(), vpn);
-    return false;
-  }
-  delta_.NoteReplay();
-  ++stats_.pages_scanned;
-  if (config_.rerandomize_each_scan) {
-    RelocateEntry(static_cast<StableEntry*>(e->ref));
-  }
-  return true;
-}
-
 void VUsionEngine::ScanOne(Process& process, Vpn vpn) {
-  if (delta_mode_ && TryReplay(process, vpn)) {
-    return;
-  }
   ++stats_.pages_scanned;
   AddressSpace& as = process.address_space();
   Pte* pte = as.GetPte(vpn);
@@ -404,11 +369,6 @@ void VUsionEngine::Act(Process& process, Vpn vpn, Pte* pte) {
   machine_->memory().SetRefcount(entry->frame,
                                  static_cast<std::uint32_t>(entry->sharers.size()));
   pages_[process.id()][vpn] = PageInfo{true, round_, entry};
-  if (delta_mode_) {
-    DeltaPassCache::Entry& rec = delta_.Record(process.id(), vpn);
-    rec.kind = kVuManaged;
-    rec.ref = entry;
-  }
 }
 
 void VUsionEngine::RelocateEntry(StableEntry* entry) {
@@ -488,11 +448,6 @@ bool VUsionEngine::UnmergeTo(Process& process, Vpn vpn, PageInfo& info,
     }
     arena_.Delete(entry);
   }
-  if (delta_mode_) {
-    // The page left the managed state (every caller drops its PageInfo next);
-    // its replay entry must die with it.
-    delta_.Invalidate(process.id(), vpn);
-  }
   return true;
 }
 
@@ -548,9 +503,6 @@ bool VUsionEngine::OnUnmap(Process& process, Vpn vpn) {
                                    static_cast<std::uint32_t>(entry->sharers.size()));
   }
   pit->second.erase(it);
-  if (delta_mode_) {
-    delta_.Invalidate(process.id(), vpn);
-  }
   return true;
 }
 
@@ -624,9 +576,6 @@ void VUsionEngine::OnProcessDestroy(Process& process) {
   // Managed pages were detached through OnUnmap during teardown; dropping the
   // process's bucket releases any remaining candidate bookkeeping in O(its pages).
   pages_.erase(process.id());
-  if (delta_mode_) {
-    delta_.DropProcess(process.id());
-  }
 }
 
 void VUsionEngine::AuditInvariants(AuditContext& ctx) const {
@@ -744,25 +693,6 @@ void VUsionEngine::AuditInvariants(AuditContext& ctx) const {
                        " is still live (mapped or refcounted)";
               });
   }
-
-  // Delta pass cache: entries are hook-invalidated, so every one must still
-  // describe a live managed page whose PageInfo references the same StableEntry.
-  delta_.ForEach([&](std::uint32_t pid, Vpn vpn, const DeltaPassCache::Entry& e) {
-    if (!ctx.Check(pid < processes.size() && processes[pid] != nullptr, [&] {
-          return "vusion: delta entry for dead process " + std::to_string(pid);
-        })) {
-      return;
-    }
-    const auto pit = pages_.find(pid);
-    const auto it = pit == pages_.end() ? ProcessPages::const_iterator{}
-                                        : pit->second.find(vpn);
-    const bool managed =
-        pit != pages_.end() && it != pit->second.end() && it->second.managed;
-    ctx.Check(e.kind == kVuManaged && managed && it->second.entry == e.ref, [&] {
-      return "vusion: delta entry (" + std::to_string(pid) + "," +
-             std::to_string(vpn) + ") does not match a managed page";
-    });
-  });
 }
 
 void VUsionEngine::ForEachStableEntry(
@@ -870,11 +800,6 @@ void VUsionEngine::SaveState(snapshot::SnapshotWriter& w) const {
 
   w.U64(round_);
   w.U64(frames_saved_);
-  delta_.SaveState(w, [&index_of](std::uint8_t /*kind*/, void* ref) -> std::uint64_t {
-    return ref == nullptr
-               ? 0
-               : index_of.at(static_cast<const StableEntry*>(ref)) + 1ull;
-  });
 }
 
 void VUsionEngine::RestoreState(snapshot::SnapshotReader& r) {
@@ -942,15 +867,6 @@ void VUsionEngine::RestoreState(snapshot::SnapshotReader& r) {
 
   round_ = r.U64();
   frames_saved_ = r.U64();
-  delta_.RestoreState(r, [&entries](std::uint8_t /*kind*/, std::uint64_t code) -> void* {
-    if (code == 0) {
-      return nullptr;
-    }
-    if (code > entries.size()) {
-      throw snapshot::RestoreError("engine", "delta ref out of range");
-    }
-    return entries[static_cast<std::size_t>(code - 1)];
-  });
 }
 
 }  // namespace vusion

@@ -33,7 +33,6 @@
 #include "src/container/rbtree.h"
 #include "src/fusion/content.h"
 #include "src/fusion/deferred_free.h"
-#include "src/fusion/delta_scan.h"
 #include "src/fusion/fusion_engine.h"
 #include "src/phys/randomized_pool.h"
 
@@ -71,7 +70,6 @@ class VUsionEngine final : public FusionEngine {
   [[nodiscard]] bool IsShared(const Process& process, Vpn vpn) const;
   [[nodiscard]] std::size_t stable_size() const { return stable_.size(); }
   [[nodiscard]] bool ValidateTree() const { return stable_.ValidateInvariants(); }
-  [[nodiscard]] const DeltaPassCache& delta_cache() const { return delta_; }
 
   // Machine-wide consistency check: stable tree, per-process page map, deferred
   // queue, entropy pool, and the kernel's refcounts/PTEs must all agree. See
@@ -123,20 +121,7 @@ class VUsionEngine final : public FusionEngine {
   static constexpr std::uint16_t kManagedFlags =
       kPtePresent | kPteReserved | kPteCacheDisable;
 
-  // The one pass-cache entry kind VUsion uses: the page is (fake) merged and its
-  // whole per-scan treatment is the conditional re-randomization. Unlike KSM and
-  // WPF the entry is not epoch-guarded — RelocateEntry rewrites every sharer's
-  // PTE each round, which would self-invalidate an epoch guard — so validity is
-  // maintained purely by the unmerge/unmap/teardown hooks, and `ref` carries the
-  // StableEntry to relocate.
-  enum DeltaKind : std::uint8_t {
-    kVuManaged = 1,
-  };
-
   void ScanOne(Process& process, Vpn vpn);
-  // Replays the memoized managed-page conclusion; false falls back to ScanOne's
-  // full body.
-  bool TryReplay(Process& process, Vpn vpn);
   // The wake quantum's scan loop: serial reference (scan_threads<=1) or the
   // two-phase parallel pipeline. Both produce bit-identical simulated results.
   void ScanQuantumSerial();
@@ -169,8 +154,6 @@ class VUsionEngine final : public FusionEngine {
   std::unordered_map<std::uint32_t, ProcessPages> pages_;
   std::uint64_t round_ = 1;
   std::uint64_t frames_saved_ = 0;
-  DeltaPassCache delta_;
-  bool delta_mode_ = false;
 };
 
 }  // namespace vusion

@@ -26,16 +26,12 @@ Wpf::Wpf(Machine& machine, const FusionConfig& config)
     : FusionEngine(machine, config),
       content_(machine, config.byte_ordered_trees),
       pipeline_(machine.memory(), machine.HostPool(config_.scan_threads)),
-      linear_(machine.buddy(), machine.memory()),
-      delta_mode_(config.delta_scan) {
+      linear_(machine.buddy(), machine.memory()) {
   pipeline_.ConfigureStreaming(config.scan_streaming, config.scan_chunk_pages);
   trees_.reserve(kShards);
   for (std::size_t i = 0; i < kShards; ++i) {
     trees_.push_back(std::make_unique<Tree>(CombinedCompare{this}));
     trees_.back()->SetNodeArena(&arena_);
-  }
-  if (delta_mode_) {
-    machine.EnableWriteEpochs();
   }
 }
 
@@ -250,93 +246,29 @@ void Wpf::DoFusionPass() {
 
 void Wpf::CollectOne(Process& process, Vpn vpn, FaultInjector* injector,
                      std::vector<Candidate>& candidates) {
-  AddressSpace& as = process.address_space();
-  const std::uint64_t epoch = delta_mode_ ? as.write_epochs().GetFast(vpn) : 0;
-  if (delta_mode_) {
-    if (DeltaPassCache::Entry* e = delta_.Probe(process.id(), vpn, epoch); e != nullptr) {
-      // Collection is silent for skipped pages (no stats, no charges), so the
-      // first three kinds replay to nothing at all. An unchanged epoch pins the
-      // PTE — and therefore the backing frame — but not the frame's refcount,
-      // which fork/exit move without touching this PTE; kinds that concluded on
-      // the refcount recheck it live.
-      switch (e->kind) {
-        case kWpfSkip:
-        case kWpfFused:
-          delta_.NoteReplay();
-          return;
-        case kWpfForkShared:
-          if (machine_->memory().refcount(e->frame) > 0) {
-            delta_.NoteReplay();
-            return;
-          }
-          break;  // the sharing ended; the page may be a candidate now
-        case kWpfCandidate:
-          if (machine_->memory().refcount(e->frame) == 0) {
-            delta_.NoteReplay();
-            // The full path consults the stale-fingerprint fault point right
-            // before accepting a candidate; the replay must preserve that
-            // ordinal in the chaos decision stream. A fire skips the page for
-            // this pass only — the memoized conclusion itself is untouched.
-            if (injector != nullptr && injector->ShouldFail(FaultSite::kStaleChecksum)) {
-              injector->RecordDegradation();
-              return;
-            }
-            ++stats_.pages_scanned;
-            Candidate c;
-            c.process = &process;
-            c.pid = process.id();
-            c.vpn = vpn;
-            c.frame = e->frame;
-            candidates.push_back(c);
-            return;
-          }
-          break;  // someone now shares the frame; re-derive
-        default:
-          break;
-      }
-      delta_.Reject(process.id(), vpn);
-    }
-  }
-  const Pte* pte = as.GetPte(vpn);
+  const Pte* pte = process.address_space().GetPte(vpn);
   if (pte == nullptr || !pte->present() || pte->huge() || pte->reserved_trap()) {
-    RecordCollect(process.id(), vpn, epoch, kWpfSkip, kInvalidFrame);
     return;
   }
   if (rmap_.contains(KeyOf(process, vpn))) {
-    RecordCollect(process.id(), vpn, epoch, kWpfFused, pte->frame);
-    return;
+    return;  // already fused
   }
   if (machine_->memory().refcount(pte->frame) > 0) {
-    // fork-shared: the kernel owns this CoW state
-    RecordCollect(process.id(), vpn, epoch, kWpfForkShared, pte->frame);
-    return;
+    return;  // fork-shared: the kernel owns this CoW state
   }
   // Injected stale content fingerprint: treat the page as too volatile to be a
-  // candidate this pass. Nothing is recorded — the conclusion was made by the
-  // injector, not the page, and the next pass must re-derive it.
+  // candidate this pass.
   if (injector != nullptr && injector->ShouldFail(FaultSite::kStaleChecksum)) {
     injector->RecordDegradation();
     return;
   }
   ++stats_.pages_scanned;
-  RecordCollect(process.id(), vpn, epoch, kWpfCandidate, pte->frame);
   Candidate c;
   c.process = &process;
   c.pid = process.id();
   c.vpn = vpn;
   c.frame = pte->frame;
   candidates.push_back(c);
-}
-
-void Wpf::RecordCollect(std::uint32_t pid, Vpn vpn, std::uint64_t epoch, std::uint8_t kind,
-                        FrameId frame) {
-  if (!delta_mode_) {
-    return;
-  }
-  DeltaPassCache::Entry& e = delta_.Record(pid, vpn);
-  e.kind = kind;
-  e.frame = frame;
-  e.epoch = epoch;
 }
 
 void Wpf::PruneDeadCandidates(std::vector<Candidate>& candidates) const {
@@ -395,11 +327,6 @@ void Wpf::MergeIntoCombined(const Candidate& candidate, Combined* entry) {
   }
   machine_->memory().SetRefcount(entry->frame, entry->refs);
   rmap_[KeyOf(*candidate.process, candidate.vpn)] = entry;
-  if (delta_mode_) {
-    // The SetPte above already moved the page's write epoch; drop the entry
-    // eagerly so the cache holds no conclusions known to be dead.
-    delta_.Invalidate(candidate.pid, candidate.vpn);
-  }
   machine_->FlushFrame(candidate.frame);
   lm.Charge(lm.config().buddy_free);
   machine_->buddy().Free(candidate.frame);
@@ -477,9 +404,6 @@ bool Wpf::HandleFault(Process& process, const PageFault& fault) {
                                 (fault.access == AccessType::kWrite ? kPteDirty : 0))});
   rmap_.erase(it);
   DropRef(entry);
-  if (delta_mode_) {
-    delta_.Invalidate(process.id(), fault.vpn);
-  }
   ++stats_.unmerges_cow;
   machine_->latency().FlushPending();
   machine_->trace().Emit(machine_->clock().now(), TraceEventType::kUnmergeCow, process.id(),
@@ -488,9 +412,6 @@ bool Wpf::HandleFault(Process& process, const PageFault& fault) {
 }
 
 bool Wpf::OnUnmap(Process& process, Vpn vpn) {
-  if (delta_mode_) {
-    delta_.Invalidate(process.id(), vpn);
-  }
   const auto it = rmap_.find(KeyOf(process, vpn));
   if (it == rmap_.end()) {
     return false;
@@ -499,12 +420,6 @@ bool Wpf::OnUnmap(Process& process, Vpn vpn) {
   rmap_.erase(it);
   DropRef(entry);
   return true;
-}
-
-void Wpf::OnProcessDestroy(Process& process) {
-  if (delta_mode_) {
-    delta_.DropProcess(process.id());
-  }
 }
 
 bool Wpf::AllowCollapse(Process& process, Vpn base) {
@@ -592,45 +507,6 @@ void Wpf::AuditInvariants(AuditContext& ctx) const {
     return "wpf: trees hold " + std::to_string(tree_entries) +
            " entries but bucket count is " + std::to_string(rmap_bucket_count_);
   });
-
-  // Delta pass cache: entries must reference live processes, and any entry whose
-  // epoch guard still holds must describe what a fresh collection would conclude.
-  delta_.ForEach([&](std::uint32_t pid, Vpn vpn, const DeltaPassCache::Entry& e) {
-    if (!ctx.Check(pid < processes.size() && processes[pid] != nullptr, [&] {
-          return "wpf: delta entry for dead process " + std::to_string(pid);
-        })) {
-      return;
-    }
-    AddressSpace& as = processes[pid]->address_space();
-    if (as.write_epochs().Get(vpn) != e.epoch) {
-      return;  // stale; the next probe discards it
-    }
-    if (e.kind == kWpfFused) {
-      ctx.Check(rmap_.contains(KeyOf(*processes[pid], vpn)), [&] {
-        return "wpf: delta kFused entry (" + std::to_string(pid) + "," +
-               std::to_string(vpn) + ") not in rmap";
-      });
-    } else if (e.kind == kWpfCandidate) {
-      const Pte* pte = as.GetPte(vpn);
-      ctx.Check(pte != nullptr && pte->present() && !pte->huge() && pte->frame == e.frame,
-                [&] {
-                  return "wpf: delta kCandidate entry (" + std::to_string(pid) + "," +
-                         std::to_string(vpn) + ") no longer maps frame " +
-                         std::to_string(e.frame);
-                });
-      ctx.Check(!rmap_.contains(KeyOf(*processes[pid], vpn)), [&] {
-        return "wpf: delta kCandidate entry (" + std::to_string(pid) + "," +
-               std::to_string(vpn) + ") is fused";
-      });
-    }
-  });
-}
-
-void Wpf::ExportMetrics(MetricsRegistry& registry) const {
-  FusionEngine::ExportMetrics(registry);
-  if (delta_mode_) {
-    delta_.ExportMetrics(registry);
-  }
 }
 
 // --- Savestates (DESIGN.md §13) ---
@@ -678,7 +554,6 @@ void Wpf::SaveState(snapshot::SnapshotWriter& w) const {
 
   w.U64(frames_saved_);
   w.U64(rmap_bucket_count_);
-  delta_.SaveState(w, [](std::uint8_t, void*) -> std::uint64_t { return 0; });
 }
 
 void Wpf::RestoreState(snapshot::SnapshotReader& r) {
@@ -737,12 +612,6 @@ void Wpf::RestoreState(snapshot::SnapshotReader& r) {
 
   frames_saved_ = r.U64();
   rmap_bucket_count_ = static_cast<std::size_t>(r.U64());
-  delta_.RestoreState(r, [](std::uint8_t, std::uint64_t code) -> void* {
-    if (code != 0) {
-      throw snapshot::RestoreError("engine", "unexpected delta ref in WPF cache");
-    }
-    return nullptr;
-  });
 }
 
 }  // namespace vusion

@@ -19,7 +19,6 @@
 #include "src/container/arena.h"
 #include "src/container/avl_tree.h"
 #include "src/fusion/content.h"
-#include "src/fusion/delta_scan.h"
 #include "src/fusion/fusion_engine.h"
 #include "src/phys/linear_allocator.h"
 
@@ -39,11 +38,7 @@ class Wpf final : public FusionEngine {
 
   bool HandleFault(Process& process, const PageFault& fault) override;
   bool OnUnmap(Process& process, Vpn vpn) override;
-  void OnProcessDestroy(Process& process) override;
   bool AllowCollapse(Process& process, Vpn base) override;
-
-  void ExportMetrics(MetricsRegistry& registry) const override;
-  [[nodiscard]] const DeltaPassCache& delta_cache() const { return delta_; }
   bool PrepareCollapse(Process& /*process*/, Vpn /*base*/) override { return true; }
   bool Owns(const Process& process, Vpn vpn) const override {
     return rmap_.contains(KeyOf(process, vpn));
@@ -100,21 +95,9 @@ class Wpf final : public FusionEngine {
     return (static_cast<std::uint64_t>(process.id()) << 40) ^ vpn;
   }
 
-  // Pass-cache entry kinds: the conclusion of the candidate-collection loop for
-  // one page. Collection is content-independent (hashing happens later, in
-  // HashCandidates, for replayed candidates exactly as for fresh ones), so the
-  // entries carry no hash.
-  enum DeltaKind : std::uint8_t {
-    kWpfSkip = 1,        // PTE absent / not present / huge / reserved trap
-    kWpfFused = 2,       // rmap hit: already fused
-    kWpfForkShared = 3,  // frame refcount > 0
-    kWpfCandidate = 4,   // page was collected as a fusion candidate
-  };
-
   void DoFusionPass();
-  // Examines (process, vpn) for the candidate list, replaying the page's
-  // memoized conclusion when its guards hold; appends to `candidates` exactly
-  // when the reference loop body would have.
+  // Examines (process, vpn) and appends it to `candidates` if it is a fusion
+  // candidate this pass.
   void CollectOne(Process& process, Vpn vpn, FaultInjector* injector,
                   std::vector<Candidate>& candidates);
   // Drops candidates whose process a phase hook tore down mid-pass.
@@ -125,9 +108,6 @@ class Wpf final : public FusionEngine {
   void HashCandidates(std::vector<Candidate>& candidates);
   void MergeIntoCombined(const Candidate& candidate, Combined* entry);
   void DropRef(Combined* entry);
-
-  void RecordCollect(std::uint32_t pid, Vpn vpn, std::uint64_t epoch, std::uint8_t kind,
-                     FrameId frame);
 
   ChargedContent content_;
   host::ParallelScanPipeline pipeline_;
@@ -141,8 +121,6 @@ class Wpf final : public FusionEngine {
   std::vector<std::vector<FrameId>> pass_allocations_;
   std::uint64_t frames_saved_ = 0;
   std::size_t rmap_bucket_count_ = 0;  // live Combined entries
-  DeltaPassCache delta_;
-  bool delta_mode_ = false;
 };
 
 }  // namespace vusion

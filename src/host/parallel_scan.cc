@@ -26,23 +26,27 @@ void MaxRelaxed(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
 
 }  // namespace
 
+bool ParallelScanPipeline::Resolve(ScanItem& item, const Phase1Filter& filter) const {
+  if (item.frame != kInvalidFrame) {
+    return true;
+  }
+  if (item.as == nullptr) {
+    return false;
+  }
+  const Pte* pte = item.as->GetPte(item.vpn);
+  if (pte == nullptr || !pte->present() || (filter && !filter(*pte, item))) {
+    return false;
+  }
+  item.frame = pte->frame;
+  if (pte->huge()) {
+    item.frame += static_cast<FrameId>(item.vpn & (kPagesPerHugePage - 1));
+  }
+  return true;
+}
+
 void ParallelScanPipeline::ResolveAndPeek(ScanItem& item, const Phase1Filter& filter) const {
-  if (item.frame == kInvalidFrame) {
-    if (item.as == nullptr) {
-      return;
-    }
-    const Pte* pte = item.as->GetPte(item.vpn);
-    if (pte == nullptr || !pte->present()) {
-      return;
-    }
-    if (filter && !filter(*pte, item)) {
-      return;
-    }
-    FrameId frame = pte->frame;
-    if (pte->huge()) {
-      frame += static_cast<FrameId>(item.vpn & (kPagesPerHugePage - 1));
-    }
-    item.frame = frame;
+  if (!Resolve(item, filter)) {
+    return;
   }
   item.snapshot = memory_->PeekHash(item.frame);
   // In the barrier shape nothing merges before the join, so the snapshot's own
@@ -51,32 +55,10 @@ void ParallelScanPipeline::ResolveAndPeek(ScanItem& item, const Phase1Filter& fi
   item.hashed = true;
 }
 
-void ParallelScanPipeline::ResolvePreMerge(ScanItem& item, const Phase1Filter& filter,
-                                           const Phase1Probe& probe) const {
-  if (probe && probe(item)) {
-    // Expected pass-cache replay: leave the frame unresolved so no worker
-    // hashes it; the merge replays (or resolves on demand).
-    item.frame = kInvalidFrame;
-    return;
+void ParallelScanPipeline::ResolvePreMerge(ScanItem& item, const Phase1Filter& filter) const {
+  if (Resolve(item, filter)) {
+    item.premerge_gen = memory_->content_generation(item.frame);
   }
-  if (item.frame == kInvalidFrame) {
-    if (item.as == nullptr) {
-      return;
-    }
-    const Pte* pte = item.as->GetPte(item.vpn);
-    if (pte == nullptr || !pte->present()) {
-      return;
-    }
-    if (filter && !filter(*pte, item)) {
-      return;
-    }
-    FrameId frame = pte->frame;
-    if (pte->huge()) {
-      frame += static_cast<FrameId>(item.vpn & (kPagesPerHugePage - 1));
-    }
-    item.frame = frame;
-  }
-  item.premerge_gen = memory_->content_generation(item.frame);
 }
 
 void ParallelScanPipeline::MergeOne(ScanItem& item, ScanTiming& timing,
@@ -99,33 +81,28 @@ void ParallelScanPipeline::MergeOne(ScanItem& item, ScanTiming& timing,
 void ParallelScanPipeline::Run(std::vector<ScanItem>& items, ScanTiming& timing,
                                const Phase1Filter& filter,
                                const std::function<void(ScanItem&)>& merge_one,
-                               const std::function<void()>& between_phases,
-                               const Phase1Probe& probe) {
+                               const std::function<void()>& between_phases) {
   // The streaming shape has no between-phases boundary to announce (hashing is
   // still in flight when merging starts), so an armed phase hook forces the
   // barrier shape. Single-item batches gain nothing from a stream.
   if (streaming_enabled_ && between_phases == nullptr && pool_ != nullptr &&
       items.size() > 1) {
-    RunStreaming(items, timing, filter, merge_one, probe);
+    RunStreaming(items, timing, filter, merge_one);
     return;
   }
-  RunBarrier(items, timing, filter, merge_one, between_phases, probe);
+  RunBarrier(items, timing, filter, merge_one, between_phases);
 }
 
 void ParallelScanPipeline::RunBarrier(std::vector<ScanItem>& items, ScanTiming& timing,
                                       const Phase1Filter& filter,
                                       const std::function<void(ScanItem&)>& merge_one,
-                                      const std::function<void()>& between_phases,
-                                      const Phase1Probe& probe) {
+                                      const std::function<void()>& between_phases) {
   // Phase 1: shard the quantum across workers; each chunk only reads simulated
   // state and writes its own disjoint items.
   std::atomic<std::uint64_t> phase1_cpu{0};
   const auto chunk = [&](std::size_t begin, std::size_t end) {
     const std::uint64_t t0 = NowNs();
     for (std::size_t i = begin; i < end; ++i) {
-      if (probe && probe(items[i])) {
-        continue;  // expected pass-cache replay: skip the resolve and the hash
-      }
       ResolveAndPeek(items[i], filter);
     }
     phase1_cpu.fetch_add(NowNs() - t0, std::memory_order_relaxed);
@@ -156,15 +133,14 @@ void ParallelScanPipeline::RunBarrier(std::vector<ScanItem>& items, ScanTiming& 
 
 void ParallelScanPipeline::RunStreaming(std::vector<ScanItem>& items, ScanTiming& timing,
                                         const Phase1Filter& filter,
-                                        const std::function<void(ScanItem&)>& merge_one,
-                                        const Phase1Probe& probe) {
-  // Serial pre-pass: probe, PTE-resolve, filter, and pre-merge generation
+                                        const std::function<void(ScanItem&)>& merge_one) {
+  // Serial pre-pass: PTE-resolve, filter, and pre-merge generation
   // capture all read the batch's pre-merge state, exactly as barrier phase 1
   // sees it — they cannot overlap the merge, but they are cheap relative to
   // hashing, which is all the workers do.
   const std::uint64_t prepass_start = NowNs();
   for (ScanItem& item : items) {
-    ResolvePreMerge(item, filter, probe);
+    ResolvePreMerge(item, filter);
   }
   const std::uint64_t prepass_ns = NowNs() - prepass_start;
 
@@ -179,7 +155,7 @@ void ParallelScanPipeline::RunStreaming(std::vector<ScanItem>& items, ScanTiming
       for (std::size_t i = begin; i < end; ++i) {
         ScanItem& item = items[i];
         if (item.frame == kInvalidFrame) {
-          continue;  // probe-skipped, not present, or filtered out pre-merge
+          continue;  // not present, or filtered out pre-merge
         }
         item.snapshot = memory_->PeekHash(item.frame);
         item.hashed = true;

@@ -13,7 +13,7 @@
 // exactly as the serial reference path does.
 //
 // Streaming (the decoupled shape; DESIGN.md §14): the join barrier is gone.
-// A serial pre-pass on the calling thread performs the probe/resolve/filter
+// A serial pre-pass on the calling thread performs the resolve/filter
 // steps (they read pre-merge state, so they cannot overlap the merge) and
 // records each page's pre-merge content generation. Workers then hash fixed-size
 // chunks concurrently *with the merge*, holding PhysicalMemory's scan gate
@@ -112,13 +112,6 @@ class ParallelScanPipeline {
   // anything. Null = hash every present page.
   using Phase1Filter = std::function<bool(const Pte&, const ScanItem&)>;
 
-  // Engine-supplied fast-out for delta scanning: true means the engine expects
-  // to replay this page from its pass cache, so resolving and hashing it would
-  // be wasted work. Advisory only — the merge revalidates authoritatively, and
-  // a page skipped here but rejected there simply hashes on demand. Same
-  // read-only contract as Phase1Filter.
-  using Phase1Probe = std::function<bool(const ScanItem&)>;
-
   // Runs the pipeline over `items` and invokes merge_one(item) serially for
   // every item, in order. Chunk/merge timing is accumulated into `timing` (the
   // engine wraps the whole scan section for scan_ns itself).
@@ -130,24 +123,23 @@ class ParallelScanPipeline {
   void Run(std::vector<ScanItem>& items, ScanTiming& timing,
            const Phase1Filter& filter,
            const std::function<void(ScanItem&)>& merge_one,
-           const std::function<void()>& between_phases = nullptr,
-           const Phase1Probe& probe = nullptr);
+           const std::function<void()>& between_phases = nullptr);
 
  private:
+  // Resolves the page's frame through the const PTE walk and the filter,
+  // unless the engine preset it; false if the page is absent or filtered out.
+  bool Resolve(ScanItem& item, const Phase1Filter& filter) const;
   void ResolveAndPeek(ScanItem& item, const Phase1Filter& filter) const;
-  // Probe/resolve/filter only (no hash); records premerge_gen. The streaming
+  // Resolve/filter only (no hash); records premerge_gen. The streaming
   // pre-pass form of phase 1's serial-state reads.
-  void ResolvePreMerge(ScanItem& item, const Phase1Filter& filter,
-                       const Phase1Probe& probe) const;
+  void ResolvePreMerge(ScanItem& item, const Phase1Filter& filter) const;
   void RunBarrier(std::vector<ScanItem>& items, ScanTiming& timing,
                   const Phase1Filter& filter,
                   const std::function<void(ScanItem&)>& merge_one,
-                  const std::function<void()>& between_phases,
-                  const Phase1Probe& probe);
+                  const std::function<void()>& between_phases);
   void RunStreaming(std::vector<ScanItem>& items, ScanTiming& timing,
                     const Phase1Filter& filter,
-                    const std::function<void(ScanItem&)>& merge_one,
-                    const Phase1Probe& probe);
+                    const std::function<void(ScanItem&)>& merge_one);
   // Primes a hashed item's snapshot (conflict-checked) and counts it, then
   // hands the item to the engine. Shared by both shapes.
   void MergeOne(ScanItem& item, ScanTiming& timing,

@@ -83,19 +83,7 @@ host::ThreadPool* Machine::HostPool(std::size_t threads) {
 Process& Machine::CreateProcess() {
   const auto id = static_cast<std::uint32_t>(processes_.size());
   processes_.push_back(std::make_unique<Process>(*this, id));
-  if (write_epochs_enabled_) {
-    processes_.back()->address_space().write_epochs().Enable();
-  }
   return *processes_.back();
-}
-
-void Machine::EnableWriteEpochs() {
-  write_epochs_enabled_ = true;
-  for (const auto& process : processes_) {
-    if (process != nullptr) {
-      process->address_space().write_epochs().Enable();
-    }
-  }
 }
 
 Process& Machine::ForkProcess(Process& parent) {
@@ -291,19 +279,6 @@ MetricsSnapshot Machine::CollectMetrics() {
   metrics_.GetCounter("pattern_hash_cache.evictions").Set(pattern_stats.evictions);
   metrics_.GetGauge("pattern_hash_cache.entries")
       .Set(static_cast<double>(pattern_stats.entries));
-  if (write_epochs_enabled_) {
-    std::uint64_t bumps = 0;
-    std::uint64_t tracked = 0;
-    for (const auto& process : processes_) {
-      if (process != nullptr) {
-        const WriteEpochMap& epochs = process->address_space().write_epochs();
-        bumps += epochs.bumps();
-        tracked += epochs.tracked_pages();
-      }
-    }
-    metrics_.GetCounter("write_epoch.bumps").Set(bumps);
-    metrics_.GetGauge("write_epoch.tracked_pages").Set(static_cast<double>(tracked));
-  }
   if (chaos_ != nullptr) {
     chaos_->ExportMetrics(metrics_);
   }
@@ -351,7 +326,6 @@ void Machine::Save(snapshot::SnapshotWriter& w) {
   w.BeginSection("machine");
   w.U64(clock_.now());
   w.U64(total_faults_);
-  w.Bool(write_epochs_enabled_);
   w.U64(processes_.size());
   for (const auto& process : processes_) {
     w.Bool(process != nullptr);
@@ -416,7 +390,6 @@ void Machine::Save(snapshot::SnapshotWriter& w) {
       w.Bool(vma.thp_eligible);
       w.U8(static_cast<std::uint8_t>(vma.type));
     }
-    as.write_epochs().SaveState(w);
     as.page_table().SaveState(w);
     as.tlb().SaveState(w);
   }
@@ -459,7 +432,6 @@ void Machine::Restore(snapshot::SnapshotReader& r) {
   r.OpenSection("machine");
   const SimTime now = r.U64();
   total_faults_ = r.U64();
-  const bool write_epochs = r.Bool();
   const std::uint64_t slot_count = r.Count(1);
   std::vector<bool> live;
   live.reserve(static_cast<std::size_t>(slot_count));
@@ -484,9 +456,6 @@ void Machine::Restore(snapshot::SnapshotReader& r) {
     } else {
       processes_.push_back(nullptr);
     }
-  }
-  if (write_epochs) {
-    EnableWriteEpochs();
   }
 
   r.OpenSection("rng");
@@ -560,7 +529,6 @@ void Machine::Restore(snapshot::SnapshotReader& r) {
       vma.type = static_cast<PageType>(type);
       areas.push_back(vma);
     }
-    as.write_epochs().RestoreState(r);
     as.page_table().RestoreState(r);
     as.tlb().RestoreState(r);
   }

@@ -136,15 +136,6 @@ class Machine {
   // Advances virtual time, running daemons at their deadlines.
   void Idle(SimTime duration);
 
-  // --- Write-epoch tracking (delta scanning) ---
-
-  // Turns on per-page write-epoch tracking in every current and future address
-  // space (the simulated soft-dirty bit; see src/mmu/write_epoch.h). Idempotent;
-  // called by engines constructed with FusionConfig::delta_scan. Off by default
-  // so non-delta runs pay a single dead branch per PTE write.
-  void EnableWriteEpochs();
-  [[nodiscard]] bool write_epochs_enabled() const { return write_epochs_enabled_; }
-
   // --- Timed memory access path (used by Process) ---
 
   struct AccessResult {
@@ -242,7 +233,6 @@ class Machine {
   TraceBuffer trace_;
   std::uint64_t total_faults_ = 0;
   bool in_daemon_ = false;  // prevents daemon re-entry from daemon-issued work
-  bool write_epochs_enabled_ = false;
 
   // Fault-path metric handles, pre-registered in the constructor so the hot path
   // is a pointer deref + enabled check (see src/sim/metrics.h).

@@ -12,7 +12,6 @@ void AddressSpace::MapPage(Vpn vpn, FrameId frame, std::uint16_t flags) {
   Pte* pte = table_.Resolve(vpn, /*create=*/true);
   *pte = Pte{frame, flags};
   tlb_.Invalidate(vpn);
-  write_epochs_.Bump(vpn);
 }
 
 void AddressSpace::UnmapPage(Vpn vpn) {
@@ -21,14 +20,12 @@ void AddressSpace::UnmapPage(Vpn vpn) {
     *pte = Pte{};
   }
   tlb_.Invalidate(vpn);
-  write_epochs_.Bump(vpn);
 }
 
 void AddressSpace::SetPte(Vpn vpn, const Pte& pte) {
   Pte* slot = table_.Resolve(vpn, /*create=*/true);
   *slot = pte;
   tlb_.Invalidate(vpn);
-  write_epochs_.Bump(vpn);
 }
 
 bool AddressSpace::UpdateFlags(Vpn vpn, std::uint16_t set, std::uint16_t clear) {
@@ -38,14 +35,12 @@ bool AddressSpace::UpdateFlags(Vpn vpn, std::uint16_t set, std::uint16_t clear) 
   }
   pte->flags = static_cast<std::uint16_t>((pte->flags & ~clear) | set);
   tlb_.Invalidate(vpn);
-  write_epochs_.Bump(vpn);
   return true;
 }
 
 void AddressSpace::MapHugeRange(Vpn vpn_base, FrameId frame_base, std::uint16_t flags) {
   table_.MapHuge(vpn_base, frame_base, flags);
   tlb_.InvalidateRange(vpn_base, vpn_base + kPagesPerHugePage);
-  write_epochs_.BumpRange(vpn_base, kPagesPerHugePage);
 }
 
 bool AddressSpace::SplitHuge(Vpn vpn) {
@@ -53,7 +48,6 @@ bool AddressSpace::SplitHuge(Vpn vpn) {
   const bool split = table_.SplitHuge(base);
   if (split) {
     tlb_.InvalidateRange(base, base + kPagesPerHugePage);
-    write_epochs_.BumpRange(base, kPagesPerHugePage);
   }
   return split;
 }
@@ -62,7 +56,6 @@ void AddressSpace::CollapseToHuge(Vpn vpn_base, FrameId frame_base, std::uint16_
   assert(vpn_base % kPagesPerHugePage == 0);
   table_.MapHuge(vpn_base, frame_base, flags);
   tlb_.InvalidateRange(vpn_base, vpn_base + kPagesPerHugePage);
-  write_epochs_.BumpRange(vpn_base, kPagesPerHugePage);
 }
 
 void AddressSpace::MadviseMergeable(Vpn start, std::uint64_t pages) {

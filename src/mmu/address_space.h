@@ -9,7 +9,6 @@
 #include "src/mmu/page_table.h"
 #include "src/mmu/tlb.h"
 #include "src/mmu/vma.h"
-#include "src/mmu/write_epoch.h"
 
 namespace vusion {
 
@@ -54,17 +53,11 @@ class AddressSpace {
   [[nodiscard]] PageTable& page_table() { return table_; }
   [[nodiscard]] Tlb& tlb() { return tlb_; }
 
-  // Simulated soft-dirty tracking: every mapping mutation above bumps the page's
-  // write epoch once enabled (Machine::EnableWriteEpochs, delta scanning).
-  [[nodiscard]] WriteEpochMap& write_epochs() { return write_epochs_; }
-  [[nodiscard]] const WriteEpochMap& write_epochs() const { return write_epochs_; }
-
  private:
   std::uint32_t id_;
   PageTable table_;
   Tlb tlb_;
   VmaList vmas_;
-  WriteEpochMap write_epochs_;
 };
 
 }  // namespace vusion

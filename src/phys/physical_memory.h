@@ -136,8 +136,8 @@ class PhysicalMemory {
   // Machine-wide count of content mutations that hit a *shared* (refcount > 0)
   // frame — i.e. a fused stable copy changing underneath the engines (rowhammer
   // flips, direct corruption). Shared frames are write-protected, so this almost
-  // never moves; the delta scanner uses it as a cheap global guard for its
-  // memoized "no stable-tree match" conclusions.
+  // never moves; KSM's stable lookup keeps its content-hash index only while it
+  // is zero.
   [[nodiscard]] std::uint64_t shared_content_mutations() const {
     return shared_content_mutations_;
   }

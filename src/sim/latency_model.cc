@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <numbers>
 
@@ -162,13 +161,7 @@ NoiseKernel SelectNoiseKernel() {
 }  // namespace
 
 LatencyModel::LatencyModel(const LatencyConfig& config, VirtualClock& clock, Rng noise_rng)
-    : config_(config), clock_(&clock), rng_(noise_rng) {
-  if (const char* env = std::getenv("VUSION_UNBATCHED_CHARGES")) {
-    if (env[0] != '\0' && env[0] != '0') {
-      batching_enabled_ = false;
-    }
-  }
-}
+    : config_(config), clock_(&clock), rng_(noise_rng) {}
 
 double LatencyModel::ExactGaussian(int i) const {
   if (!fast_batch()) {

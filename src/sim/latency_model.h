@@ -162,8 +162,8 @@ class LatencyModel {
       pending_ = 0;
     }
   }
-  // Parity/ablation toggle: when disabled, every charge advances the clock
-  // immediately even inside a span. Also settable via VUSION_UNBATCHED_CHARGES=1.
+  // Parity toggle: when disabled, every charge advances the clock immediately
+  // even inside a span.
   void set_batching_enabled(bool enabled) {
     FlushPending();
     batching_enabled_ = enabled;

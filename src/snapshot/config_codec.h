@@ -2,7 +2,7 @@
 // configs are serialized so a snapshot is self-describing — RestoreSnapshotToNew
 // reconstructs the Machine and engine from the recorded configs before touching
 // any state section. Every field is written in declaration order; adding a
-// config field is a snapshot format change (bump SnapshotWriter::kVersion).
+// config field is a snapshot format change (bump snapshot::kVersion).
 
 #ifndef VUSION_SRC_SNAPSHOT_CONFIG_CODEC_H_
 #define VUSION_SRC_SNAPSHOT_CONFIG_CODEC_H_
@@ -153,7 +153,6 @@ inline void WriteFusionConfig(SnapshotWriter& w, const FusionConfig& c) {
   w.Bool(c.thp_aware);
   w.U64(c.wpf_period);
   w.Bool(c.byte_ordered_trees);
-  w.Bool(c.delta_scan);
   w.U64(c.mc_low_watermark);
   w.U64(c.mc_swap_batch);
   w.F64(c.mc_compression_ratio);
@@ -176,7 +175,6 @@ inline FusionConfig ReadFusionConfig(SnapshotReader& r) {
   c.thp_aware = r.Bool();
   c.wpf_period = r.U64();
   c.byte_ordered_trees = r.Bool();
-  c.delta_scan = r.Bool();
   c.mc_low_watermark = static_cast<std::size_t>(r.U64());
   c.mc_swap_batch = static_cast<std::size_t>(r.U64());
   c.mc_compression_ratio = r.F64();

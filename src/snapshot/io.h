@@ -28,9 +28,14 @@
 namespace vusion::snapshot {
 
 inline constexpr std::uint64_t kMagic = 0x53535653'4e4f4953ull;  // "SIONVSSS"
-// v2: FusionConfig gained scan_streaming + scan_chunk_pages (decoupled
-// streaming scan pipeline). v1 images predate the fields and fail closed.
-inline constexpr std::uint32_t kVersion = 2;
+// Version history; every older image fails closed, naming its version:
+//   v2: FusionConfig gained scan_streaming + scan_chunk_pages (decoupled
+//       streaming scan pipeline).
+//   v3: delta scanning removed. The FusionConfig record lost its delta-scan
+//       flag byte, the machine section its write-epoch flag, each address
+//       space its write-epoch records, and each engine section its pass-cache
+//       ledger (KSM also its stable-tree version).
+inline constexpr std::uint32_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 20;  // magic + version + count + crc
 
 // Structured restore failure: carries the name of the section (or "header")

@@ -103,22 +103,25 @@ TEST(ChaosParityTest, ChaosOffAndZeroRateChaosAreBitIdentical) {
 
 class ChaosCampaignTest : public ::testing::TestWithParam<EngineKind> {};
 
-// The fixed known-good seed the regular suite pins: a short fault-injected
+// The fixed known-good seeds the regular suite pins: a short fault-injected
 // campaign on each engine must hold every invariant.
 TEST_P(ChaosCampaignTest, KnownGoodSeedHoldsAllInvariants) {
-  CampaignOptions options;
-  options.engine = GetParam();
-  options.seed = 1;
-  options.steps = 250;
-  options.audit_epoch = 8;
-  options.shrink = false;
-  const CampaignResult result = FuzzCampaign(options).Run();
-  for (const std::string& violation : result.violations) {
-    ADD_FAILURE() << violation;
+  for (const std::uint64_t seed : {1, 2}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CampaignOptions options;
+    options.engine = GetParam();
+    options.seed = seed;
+    options.steps = 250;
+    options.audit_epoch = 8;
+    options.shrink = false;
+    const CampaignResult result = FuzzCampaign(options).Run();
+    for (const std::string& violation : result.violations) {
+      ADD_FAILURE() << violation;
+    }
+    EXPECT_TRUE(result.ok) << result.repro;
+    EXPECT_GT(result.audits, 0u);
+    EXPECT_GT(result.checks, 0u);
   }
-  EXPECT_TRUE(result.ok) << result.repro;
-  EXPECT_GT(result.audits, 0u);
-  EXPECT_GT(result.checks, 0u);
 }
 
 std::string CampaignName(const ::testing::TestParamInfo<EngineKind>& info) {

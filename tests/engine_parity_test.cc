@@ -258,16 +258,11 @@ INSTANTIATE_TEST_SUITE_P(KsmVUsionMc, FingerprintParityTest,
 // The scan loops batch their latency charges (one clock Advance per flush
 // instead of per charge). Batching is pure host-side mechanics: noise is drawn
 // per charge in the same order and the clock is a pure sum, so disabling it
-// (the VUSION_UNBATCHED_CHARGES ablation) must leave every simulated statistic
-// and the final timestamp bit-identical — including across CoW unmerges, THP
-// splits, and trace emits that read the clock mid-scan.
+// must leave every simulated statistic and the final timestamp bit-identical —
+// including across CoW unmerges, THP splits, and trace emits that read the
+// clock mid-scan.
 
-struct BatchingParam {
-  EngineKind kind;
-  bool delta;
-};
-
-FingerprintResult RunBatchingScenario(const BatchingParam& param, bool batched) {
+FingerprintResult RunBatchingScenario(EngineKind kind, bool batched) {
   MachineConfig machine_config;
   machine_config.frame_count = 1u << 14;
   machine_config.seed = 7;
@@ -278,8 +273,7 @@ FingerprintResult RunBatchingScenario(const BatchingParam& param, bool batched) 
   fusion_config.pages_per_wake = 256;
   fusion_config.pool_frames = 1024;
   fusion_config.wpf_period = 20 * kMillisecond;
-  fusion_config.delta_scan = param.delta;
-  ScopedEngine engine(param.kind, machine, fusion_config);
+  ScopedEngine engine(kind, machine, fusion_config);
 
   constexpr std::size_t kVms = 3;
   constexpr std::size_t kPages = 128;
@@ -327,7 +321,7 @@ FingerprintResult RunBatchingScenario(const BatchingParam& param, bool batched) 
   return result;
 }
 
-class BatchingParityTest : public ::testing::TestWithParam<BatchingParam> {};
+class BatchingParityTest : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(BatchingParityTest, BatchedAndUnbatchedChargesAreBitIdentical) {
   const FingerprintResult batched = RunBatchingScenario(GetParam(), /*batched=*/true);
@@ -348,18 +342,9 @@ TEST_P(BatchingParityTest, BatchedAndUnbatchedChargesAreBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, BatchingParityTest,
-    ::testing::Values(BatchingParam{EngineKind::kKsm, false},
-                      BatchingParam{EngineKind::kKsm, true},
-                      BatchingParam{EngineKind::kVUsion, false},
-                      BatchingParam{EngineKind::kWpf, false}),
-    [](const ::testing::TestParamInfo<BatchingParam>& info) {
-      std::string name = EngineKindName(info.param.kind);
-      for (char& c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) {
-          c = '_';
-        }
-      }
-      return name + (info.param.delta ? "_delta" : "");
+    ::testing::Values(EngineKind::kKsm, EngineKind::kVUsion, EngineKind::kWpf),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      return std::string(EngineKindName(info.param));
     });
 
 // --- Serial-vs-parallel scan parity ---

@@ -106,7 +106,6 @@ class FleetParityTest : public ::testing::Test {
   void SetUp() override {
     unsetenv("VUSION_FLEET_THREADS");
     unsetenv("VUSION_SCAN_THREADS");
-    unsetenv("VUSION_DELTA_SCAN");
     unsetenv("VUSION_SCAN_STREAMING");
     unsetenv("VUSION_SCAN_CHUNK");
   }

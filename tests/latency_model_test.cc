@@ -160,7 +160,6 @@ TEST(LatencyModelTest, BatchedSpanMatchesUnbatchedBitForBit) {
 
   VirtualClock clock;
   LatencyModel model(config, clock, Rng(42));
-  model.set_batching_enabled(true);
   std::vector<SimTime> costs;
   {
     ChargeSpan span(model);
@@ -185,9 +184,6 @@ TEST(LatencyModelTest, NestedSpansAndDisableFlush) {
   config.noise_sigma = 0.0;
   VirtualClock clock;
   LatencyModel model(config, clock, Rng(5));
-  // This test asserts batched-span mechanics, so own the toggle explicitly
-  // (a VUSION_UNBATCHED_CHARGES ablation run must not change what it tests).
-  model.set_batching_enabled(true);
   {
     ChargeSpan outer(model);
     model.Charge(10);

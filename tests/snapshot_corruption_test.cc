@@ -1,6 +1,6 @@
 // Corrupted-snapshot fuzzing (DESIGN.md §13): every way a snapshot buffer can
 // be damaged — truncation at and inside every section, single-bit flips in the
-// header and in each payload, future-version headers, dropped sections,
+// header and in each payload, future- and old-version headers, dropped sections,
 // semantically invalid fields behind a valid checksum — must fail closed with
 // a structured RestoreError naming the offending section. No crash, no silent
 // partial restore, and the restore target stays untouched.
@@ -13,6 +13,7 @@
 #include "src/fusion/engine_factory.h"
 #include "src/kernel/process.h"
 #include "src/sim/latency_model.h"
+#include "src/snapshot/config_codec.h"
 #include "src/snapshot/machine_snapshot.h"
 
 namespace vusion {
@@ -103,6 +104,17 @@ std::string SealHeader(std::string buffer) {
   return buffer;
 }
 
+// Bytes WriteFusionConfig emits for a default config, measured by encoding one,
+// so a config field change cannot silently aim an offset at another field.
+std::size_t FusionConfigRecordBytes() {
+  snapshot::SnapshotWriter w;
+  w.BeginSection("fusion");
+  snapshot::WriteFusionConfig(w, FusionConfig{});
+  w.EndSection();
+  const std::string bytes = w.Finish();
+  return snapshot::SnapshotReader(bytes).sections().front().size;
+}
+
 void ExpectRestoreError(const std::string& buffer, const std::string& want_section,
                         const std::string& context) {
   try {
@@ -185,16 +197,23 @@ TEST_F(SnapshotCorruptionTest, PayloadBitFlipsNameTheDamagedSection) {
   }
 }
 
+// Any version but kVersion fails closed, naming the version it carries: a
+// future one, or the previous format (v2), for which there is no reader.
 TEST_F(SnapshotCorruptionTest, FutureVersionRejected) {
-  std::string buffer = image();
-  WriteLeU32(buffer, 8, snapshot::kVersion + 1);  // version field follows the magic
-  buffer = SealHeader(buffer);
-  try {
-    snapshot::RestoredMachine restored = snapshot::RestoreSnapshot(buffer);
-    ADD_FAILURE() << "future-version snapshot restored";
-  } catch (const snapshot::RestoreError& e) {
-    EXPECT_EQ(e.section(), "header");
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  for (const std::uint32_t version : {snapshot::kVersion + 1, snapshot::kVersion - 1}) {
+    std::string buffer = image();
+    WriteLeU32(buffer, 8, version);  // version field follows the magic
+    buffer = SealHeader(buffer);
+    try {
+      snapshot::RestoredMachine restored = snapshot::RestoreSnapshot(buffer);
+      ADD_FAILURE() << "version " << version << " snapshot restored";
+    } catch (const snapshot::RestoreError& e) {
+      EXPECT_EQ(e.section(), "header");
+      EXPECT_NE(std::string(e.what()).find("unsupported snapshot version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -208,10 +227,9 @@ TEST_F(SnapshotCorruptionTest, UnknownEngineKindBehindValidChecksumRejected) {
   const snapshot::SnapshotInfo info = snapshot::InspectSnapshot(image());
   const auto& config = info.sections.front();
   ASSERT_EQ(config.name, "config");
-  // The engine-kind byte sits just before the 89-byte FusionConfig record at
-  // the end of the "config" payload (see WriteFusionConfig: 10 U64/F64 + 9
-  // Bool fields as of snapshot v2).
-  const std::size_t kind_delta = config.size - 89 - 1;
+  // The engine-kind byte sits just before the FusionConfig record at the end
+  // of the "config" payload.
+  const std::size_t kind_delta = config.size - FusionConfigRecordBytes() - 1;
   const std::string buffer =
       PatchSealedByte(image(), config, kind_delta, static_cast<char>(0xC8));
   ExpectRestoreError(buffer, "config", "unknown engine kind behind valid CRC");

@@ -2,7 +2,7 @@
 // into a brand-new (Machine, engine) pair, and continuing the workload must be
 // bit-identical — stats, traces, timestamps, RNG streams — to never having
 // stopped. Checked as byte equality of the final snapshots across every engine
-// × scan-thread × delta-scan cell, plus restore→immediate-resave idempotence
+// × scan-thread × pipeline-shape cell, plus restore→immediate-resave idempotence
 // and fork-style fan-out divergence-only-through-inputs.
 
 #include <gtest/gtest.h>
@@ -27,16 +27,17 @@ constexpr int kPhaseSteps = 300;
 struct Cell {
   EngineKind kind;
   std::size_t threads;
-  bool delta;
   // Scan pipeline shape (scan_streaming defaults on in FusionConfig, so the
-  // plain cells above already stream; these make the shapes explicit).
+  // plain cells already stream; the shape cells make it explicit).
   bool streaming = true;
   std::size_t chunk_pages = 0;
 };
 
+// The "DeltaOff" infix is kept from when delta scanning was a matrix axis, so
+// the cells keep their test names.
 std::string CellName(const ::testing::TestParamInfo<Cell>& info) {
   return std::string(EngineKindName(info.param.kind)) + "T" +
-         std::to_string(info.param.threads) + (info.param.delta ? "DeltaOn" : "DeltaOff") +
+         std::to_string(info.param.threads) + "DeltaOff" +
          (info.param.streaming ? "" : "Barrier") +
          (info.param.chunk_pages != 0 ? "C" + std::to_string(info.param.chunk_pages) : "");
 }
@@ -55,7 +56,6 @@ FusionConfig MakeFusionConfig(const Cell& cell) {
   config.pool_frames = 1024;
   config.wpf_period = 10 * kMillisecond;
   config.scan_threads = cell.threads;
-  config.delta_scan = cell.delta;
   config.scan_streaming = cell.streaming;
   config.scan_chunk_pages = cell.chunk_pages;
   return config;
@@ -213,19 +213,16 @@ TEST_P(SnapshotParityTest, SaveRestoreContinueIsBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     EngineMatrix, SnapshotParityTest,
-    ::testing::Values(Cell{EngineKind::kKsm, 1, false}, Cell{EngineKind::kKsm, 1, true},
-                      Cell{EngineKind::kKsm, 4, false}, Cell{EngineKind::kKsm, 4, true},
-                      Cell{EngineKind::kWpf, 1, false}, Cell{EngineKind::kWpf, 1, true},
-                      Cell{EngineKind::kWpf, 4, false}, Cell{EngineKind::kWpf, 4, true},
-                      Cell{EngineKind::kVUsion, 1, false}, Cell{EngineKind::kVUsion, 1, true},
-                      Cell{EngineKind::kVUsion, 4, false}, Cell{EngineKind::kVUsion, 4, true},
+    ::testing::Values(Cell{EngineKind::kKsm, 1}, Cell{EngineKind::kKsm, 4},
+                      Cell{EngineKind::kWpf, 1}, Cell{EngineKind::kWpf, 4},
+                      Cell{EngineKind::kVUsion, 1}, Cell{EngineKind::kVUsion, 4},
                       // Explicit pipeline shapes: barrier, and streaming at the
                       // maximally-interleaved chunk size.
-                      Cell{EngineKind::kKsm, 4, false, false, 0},
-                      Cell{EngineKind::kKsm, 4, false, true, 1},
-                      Cell{EngineKind::kVUsion, 4, false, false, 0},
-                      Cell{EngineKind::kVUsion, 4, false, true, 1},
-                      Cell{EngineKind::kWpf, 4, false, true, 1}),
+                      Cell{EngineKind::kKsm, 4, false, 0},
+                      Cell{EngineKind::kKsm, 4, true, 1},
+                      Cell{EngineKind::kVUsion, 4, false, 0},
+                      Cell{EngineKind::kVUsion, 4, true, 1},
+                      Cell{EngineKind::kWpf, 4, true, 1}),
     CellName);
 
 // The determinism fence (DESIGN.md §14): hash-memo validity is serialized in
@@ -240,7 +237,7 @@ INSTANTIATE_TEST_SUITE_P(
 // between barrier and chunk=1 streaming runs of the same campaign.
 TEST(SnapshotParityTest, StreamingShapeDoesNotLeakIntoSnapshotBytes) {
   const auto save_with = [](bool streaming, std::size_t chunk) {
-    Cell cell{EngineKind::kKsm, 4, false, streaming, chunk};
+    Cell cell{EngineKind::kKsm, 4, streaming, chunk};
     Machine machine(MakeMachineConfig());
     std::unique_ptr<FusionEngine> engine =
         MakeEngineExact(cell.kind, machine, MakeFusionConfig(cell));
@@ -277,7 +274,7 @@ TEST(SnapshotParityTest, StreamingShapeDoesNotLeakIntoSnapshotBytes) {
 // deep copies — identical inputs keep them bit-identical, divergent inputs
 // diverge only the machine they were applied to.
 TEST(SnapshotFanOutTest, ClonesAreIndependentAndDeterministic) {
-  const Cell cell{EngineKind::kVUsion, 1, false};
+  const Cell cell{EngineKind::kVUsion, 1};
   std::string image;
   std::vector<VirtAddr> bases;
   {
@@ -331,7 +328,7 @@ TEST(SnapshotParityBaselineTest, NoEngineRoundTrip) {
 // recorded schedule have to resume exactly, or the fault stream after restore
 // drifts from the straight run's.
 TEST(SnapshotChaosTest, FaultInjectorStateRoundTrips) {
-  const Cell cell{EngineKind::kVUsion, 1, false};
+  const Cell cell{EngineKind::kVUsion, 1};
   auto boot_chaos = [](Machine& machine) {
     ChaosConfig config;
     config.seed = 5;
@@ -378,7 +375,7 @@ TEST(SnapshotChaosTest, FaultInjectorStateRoundTrips) {
 // Idle-split identity through a snapshot: Idle(a) → save/restore → Idle(b)
 // must equal Idle(a+b) straight through, including daemon wakeups in between.
 TEST(SnapshotParityBaselineTest, IdleSplitAcrossSnapshotIsIdentity) {
-  const Cell cell{EngineKind::kKsm, 1, false};
+  const Cell cell{EngineKind::kKsm, 1};
   std::string straight;
   {
     Machine machine(MakeMachineConfig());

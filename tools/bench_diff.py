@@ -5,8 +5,8 @@ Usage: bench_diff.py BASELINE CANDIDATE [--regress-pct PCT] [--table NAME ...]
 
 Compares the *ratio* tables of two schema-version-1 artifacts emitted by
 bench::Reporter (see tools/check_bench_json.py for the shape). Ratios —
-fingerprint-vs-byte-ordered speedup, delta-vs-fingerprint speedup, parallel
-scan speedup, and the headline values — are stable across machines and across
+fingerprint-vs-byte-ordered speedup, parallel scan speedup, and the headline
+values — are stable across machines and across
 --quick/full runs, unlike absolute page counts or wall seconds, so they are
 the only values this tool judges. A candidate cell more than --regress-pct
 percent below the baseline cell is a regression (all ratio metrics here are

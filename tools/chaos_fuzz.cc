@@ -41,7 +41,6 @@ void PrintUsage() {
          "  --seeds N         number of consecutive seeds to run (default 1)\n"
          "  --steps N         workload events per campaign (default 400)\n"
          "  --threads N       engine scan threads (default 1)\n"
-         "  --delta           enable epoch-based delta scanning (pass cache)\n"
          "  --rate R          per-visit injection probability (default 0.01)\n"
          "  --audit-epoch N   audit every N events (default 1 = slow mode)\n"
          "  --fast-audit      shorthand for --audit-epoch 16\n"
@@ -113,8 +112,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
         return false;
       }
       cli.campaign.snapshot_interval = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--delta") {
-      cli.campaign.delta_scan = true;
     } else if (arg == "--fast-audit") {
       cli.campaign.audit_epoch = 16;
     } else if (arg == "--schedule") {

@@ -49,7 +49,6 @@ struct CliOptions {
   std::size_t steps = 300;
   std::uint64_t idle_ms = 0;
   std::size_t threads = 1;
-  bool delta = false;
   std::string in_path;
   std::string out_path;
   std::string stats_path;
@@ -63,7 +62,6 @@ void PrintUsage() {
          "    --seed N       machine + workload seed (default 1)\n"
          "    --steps N      workload events before saving (default 300)\n"
          "    --threads N    engine scan threads (default 1)\n"
-         "    --delta        enable epoch-based delta scanning\n"
          "    --idle MS      extra idle after the workload (default 0)\n"
          "    --out FILE     write the snapshot here\n"
          "    --stats FILE   write a run-summary report here\n"
@@ -118,8 +116,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
         return false;
       }
       cli.threads = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--delta") {
-      cli.delta = true;
     } else if (arg == "--in") {
       if ((value = need_value(i)) == nullptr) {
         return false;
@@ -247,7 +243,6 @@ int CmdBoot(const CliOptions& cli) {
   fusion_config.pool_frames = 1024;
   fusion_config.wpf_period = 10 * kMillisecond;
   fusion_config.scan_threads = cli.threads;
-  fusion_config.delta_scan = cli.delta;
   std::unique_ptr<FusionEngine> engine =
       MakeEngineExact(cli.engine, machine, fusion_config);
   if (engine != nullptr) {
