@@ -54,7 +54,7 @@ std::uint64_t Mix(std::uint64_t a, std::uint64_t b) {
   return x;
 }
 
-fleet::FleetConfig BenchFleetConfig(std::size_t fleet_threads, bool streaming = true) {
+fleet::FleetConfig BenchFleetConfig(std::size_t fleet_threads) {
   fleet::FleetConfig config;
   config.machine_count = kMachines;
   config.host_threads = fleet_threads;
@@ -65,7 +65,6 @@ fleet::FleetConfig BenchFleetConfig(std::size_t fleet_threads, bool streaming = 
   config.scenario.fusion.wake_period = 1 * kMillisecond;
   config.scenario.fusion.pages_per_wake = 256;
   config.scenario.fusion.pool_frames = 512;
-  config.scenario.fusion.scan_streaming = streaming;
   VmImageSpec base;
   base.total_pages = kGuestPages;
   VmImageSpec variant = base;
@@ -101,17 +100,17 @@ struct RunResult {
   double projected_seconds = 0.0;             // serial-costs projection at `threads`
   std::uint64_t total_pages = 0;              // sum of pages_scanned over Machines
   std::uint64_t total_merges = 0;
-  MetricsSnapshot metrics;                    // machine-labeled rollup (first repeat)
   // Captured from the serial (threads=1) run only:
+  MetricsSnapshot metrics;                    // machine-labeled rollup
   std::vector<fleet::Fleet::QuantumCost> quantum_costs;
   fleet::Fleet::FootprintSummary footprint;
 };
 
-RunResult RunFleet(std::size_t fleet_threads, bool streaming = true) {
+RunResult RunFleet(std::size_t fleet_threads) {
   RunResult result;
   result.threads = fleet_threads;
   for (int repeat = 0; repeat < g_repeats; ++repeat) {
-    fleet::Fleet fleet(BenchFleetConfig(fleet_threads, streaming));
+    fleet::Fleet fleet(BenchFleetConfig(fleet_threads));
     fleet.BootAll();
 
     // Per-machine churn process: identical setup everywhere (deterministic,
@@ -167,11 +166,8 @@ RunResult RunFleet(std::size_t fleet_threads, bool streaming = true) {
     if (repeat == 0) {
       result.outcomes = std::move(outcomes);
       result.wall_seconds = wall_seconds;
-      // The metrics rollup rides along on every config (the conflict-rate table
-      // reads it from the wide streaming run); the serial-cost artifacts stay
-      // threads=1 only.
-      result.metrics = fleet.CollectMetrics();
       if (fleet_threads == 1) {
+        result.metrics = fleet.CollectMetrics();
         result.quantum_costs = fleet.quantum_costs();
         result.footprint = fleet.CollectFootprint();
       }
@@ -323,66 +319,6 @@ void Run() {
                                 {"target", 3.0},
                                 {"basis", basis}});
 
-  // --- Streaming vs barrier scan pipeline at the widest sweep point. ---
-  // Same fleet thread count, scan_streaming off: workers re-join the full
-  // phase-1 barrier inside every Machine's quantum. Simulated outcomes must
-  // stay bit-identical (the determinism fence); the wall-clock ratio is the
-  // intra-quantum overlap recovered by streaming. Always measured — the serial
-  // critical-path projection cannot see inside a quantum.
-  {
-    const RunResult& wide = runs.back();
-    const RunResult barrier = RunFleet(max_threads, /*streaming=*/false);
-    if (!(barrier.outcomes == wide.outcomes)) {
-      std::fprintf(stderr,
-                   "FATAL: fleet simulated outcome differs between streaming and barrier "
-                   "pipelines at threads=%zu\n",
-                   max_threads);
-      std::exit(1);
-    }
-    const double streaming_speedup =
-        wide.wall_seconds > 0 ? barrier.wall_seconds / wide.wall_seconds : 0.0;
-    std::printf("\nstreaming vs barrier scan pipeline at %zu fleet threads: "
-                "%.3fs -> %.3fs (%.2fx, measured)\n",
-                max_threads, barrier.wall_seconds, wide.wall_seconds, streaming_speedup);
-    reporter.AddRow("streaming_speedup", {{"threads", max_threads},
-                                          {"barrier_wall_seconds", barrier.wall_seconds},
-                                          {"streaming_wall_seconds", wide.wall_seconds},
-                                          {"speedup", streaming_speedup}});
-    reporter.AddRow("headlines", {{"name", "fleet_streaming_speedup"},
-                                  {"value", streaming_speedup},
-                                  {"target", 1.0},
-                                  {"basis", "measured"}});
-
-    // Per-Machine conflict rate vs churn: speculative hashes invalidated by a
-    // merge mutating a not-yet-consumed frame, against that Machine's merge
-    // count (the churn proxy). Host-side observability only — rates vary with
-    // interleaving; the sim outcome above already proved they never leak.
-    std::uint64_t total_hashes = 0;
-    std::uint64_t total_stale = 0;
-    for (std::size_t m = 0; m < wide.outcomes.size(); ++m) {
-      const MetricLabels labels = {{"machine", std::to_string(m)}};
-      const std::uint64_t hashes = wide.metrics.CounterValue("scan.speculative_hashes", labels);
-      const std::uint64_t stale = wide.metrics.CounterValue("scan.speculative_stale", labels);
-      total_hashes += hashes;
-      total_stale += stale;
-      reporter.AddRow("conflict_rate",
-                      {{"machine", m},
-                       {"speculative_hashes", hashes},
-                       {"speculative_stale", stale},
-                       {"stale_rate", hashes > 0 ? static_cast<double>(stale) /
-                                                       static_cast<double>(hashes)
-                                                 : 0.0},
-                       {"merges", wide.outcomes[m].merges}});
-    }
-    std::printf("speculative-hash conflicts across the fleet: %llu stale of %llu "
-                "(%.3f%% re-resolved inline on the merge thread)\n",
-                static_cast<unsigned long long>(total_stale),
-                static_cast<unsigned long long>(total_hashes),
-                total_hashes > 0
-                    ? 100.0 * static_cast<double>(total_stale) / static_cast<double>(total_hashes)
-                    : 0.0);
-  }
-
   // --- Per-Machine variance: same images, per-Machine RNG streams. ---
   const RunResult& serial = runs.front();
   std::vector<double> pages, merges, unmerges, saved;
@@ -446,12 +382,10 @@ void ParseArgs(int argc, char** argv) {
 }  // namespace vusion
 
 int main(int argc, char** argv) {
-  // The sweep pins its own thread counts and scan modes; environment overrides
-  // would silently skew every run the same way and hide scaling.
+  // The sweep pins its own thread counts; environment overrides would
+  // silently skew every run the same way and hide scaling.
   ::unsetenv("VUSION_FLEET_THREADS");
   ::unsetenv("VUSION_SCAN_THREADS");
-  ::unsetenv("VUSION_SCAN_STREAMING");
-  ::unsetenv("VUSION_SCAN_CHUNK");
   vusion::ParseArgs(argc, argv);
   vusion::Run();
   return 0;

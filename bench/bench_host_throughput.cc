@@ -5,28 +5,23 @@
 //      byte-ordered — the ablation (FusionConfig::byte_ordered_trees);
 //      fingerprint  — fingerprint-ordered trees (the default).
 //
-// 2. A --threads sweep (default 1,2,4,8) of the parallel scan pipeline
+// 2. A --threads sweep (default 1,2,4,8) of the streaming scan pipeline
 //    (FusionConfig::scan_threads) on a churn variant of the same scenario where
 //    guests keep dirtying their unique pages, so per-wake content hashing — the
-//    phase-1 work the pipeline shards across workers — dominates the scan path.
-//    The sweep runs the streaming pipeline (FusionConfig::scan_streaming, the
-//    default) and reports its overlap accounting: phase-1 CPU time (sum of
-//    chunk times), phase-1 wall span, pure merge time, and the overlap
-//    efficiency 1 - scan_wall / (phase1_wall + merge_wall) — 0 when hashing
-//    and merging strictly serialize (the barrier), approaching the ideal as
-//    the merge consumer hides behind in-flight hash chunks. A second pass at
-//    the widest thread count re-runs each engine with scan_streaming=false and
-//    reports the streaming/barrier scan-throughput ratio; the simulated
-//    outcome must be bit-identical between the two shapes (the speculative
-//    hash is validated by generation before the memo is trusted).
+//    work the pipeline spreads across workers — dominates the scan path. The
+//    sweep reports the pipeline's overlap accounting: phase-1 CPU time
+//    (pre-pass plus chunk times), phase-1 wall span, pure merge time, and the
+//    overlap efficiency 1 - scan_wall / (phase1_wall + merge_wall) — 0 when
+//    hashing and merging strictly serialize, approaching the ideal as the
+//    merge consumer hides behind in-flight hash chunks.
 //
 // Both experiments measure the simulator's own cost, not modeled latency:
-// simulated statistics and charged latencies are bit-identical across modes,
-// thread counts, and pipeline shapes (the bench re-checks this;
-// engine_parity_test proves it). The sweep reports scan-section throughput
-// from ScanTiming::scan_ns, both measured and projected: on hosts with fewer
-// cores than threads the measured wall time cannot speed up, so the critical
-// path is projected from the measured phase-1 CPU aggregate as
+// simulated statistics and charged latencies are bit-identical across modes
+// and thread counts (the bench re-checks this; engine_parity_test proves it).
+// The sweep reports scan-section throughput from ScanTiming::scan_ns, both
+// measured and projected: on hosts with fewer cores than threads the measured
+// wall time cannot speed up, so the critical path is projected from the
+// measured phase-1 CPU aggregate as
 // scan_ns - phase1_cpu_ns + phase1_cpu_ns / threads (serial phase unchanged,
 // sharded phase divided across workers). The JSON records which basis
 // ("measured" when host_cpus >= threads, else "projected") produced the
@@ -107,7 +102,6 @@ struct RunResult {
 struct SweepResult {
   std::string engine;
   std::size_t threads = 1;
-  bool streaming = true;
   SimOutcome sim;
   double wall_seconds = 0.0;        // whole churn loop (writes + scans)
   double scan_seconds = 0.0;        // scan sections only (ScanTiming::scan_ns)
@@ -115,11 +109,10 @@ struct SweepResult {
   double phase1_wall_seconds = 0.0; // phase-1 span (first resolve .. last chunk)
   double merge_wall_seconds = 0.0;  // pure merge time (excludes help/wait)
   // 1 - scan_wall / (phase1_wall + merge_wall): 0 = hashing and merging fully
-  // serialized (the barrier shape), higher = merge hidden behind hashing.
+  // serialized, higher = merge hidden behind hashing.
   double overlap_efficiency = 0.0;
   std::uint64_t speculative_hashes = 0;
   std::uint64_t speculative_stale = 0;
-  std::uint64_t streamed_batches = 0;
   double projected_seconds = 0.0;   // scan - phase1_cpu + phase1_cpu/threads
   std::uint64_t items = 0;
   double measured_pps = 0.0;
@@ -202,10 +195,9 @@ std::array<RunResult, 2> RunModeSet(EngineKind kind) {
   return best;
 }
 
-SweepResult RunSweepOnce(EngineKind kind, std::size_t threads, bool streaming) {
+SweepResult RunSweepOnce(EngineKind kind, std::size_t threads) {
   ScenarioConfig config = ThroughputScenario(kind);
   config.fusion.scan_threads = threads;
-  config.fusion.scan_streaming = streaming;
   config.fusion.wpf_period = 2 * kSecond;  // several full passes within the churn window
   Scenario scenario(config);
   std::vector<std::pair<Process*, VirtAddr>> vms;
@@ -242,7 +234,6 @@ SweepResult RunSweepOnce(EngineKind kind, std::size_t threads, bool streaming) {
   SweepResult result;
   result.engine = scenario.engine()->name();
   result.threads = threads;
-  result.streaming = streaming;
   result.sim = CaptureOutcome(scenario);
   result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   const host::ScanTiming* timing = scenario.engine()->scan_timing();
@@ -253,7 +244,6 @@ SweepResult RunSweepOnce(EngineKind kind, std::size_t threads, bool streaming) {
     result.merge_wall_seconds = timing->merge_wall_ns * 1e-9;
     result.speculative_hashes = timing->speculative_hashes;
     result.speculative_stale = timing->speculative_stale;
-    result.streamed_batches = timing->streamed_batches;
     result.items = timing->items;
   }
   const double serial_sum = result.phase1_wall_seconds + result.merge_wall_seconds;
@@ -273,10 +263,10 @@ SweepResult RunSweepOnce(EngineKind kind, std::size_t threads, bool streaming) {
   return result;
 }
 
-SweepResult RunSweep(EngineKind kind, std::size_t threads, bool streaming = true) {
-  SweepResult best = RunSweepOnce(kind, threads, streaming);
+SweepResult RunSweep(EngineKind kind, std::size_t threads) {
+  SweepResult best = RunSweepOnce(kind, threads);
   for (int r = 1; r < g_repeats; ++r) {
-    SweepResult next = RunSweepOnce(kind, threads, streaming);
+    SweepResult next = RunSweepOnce(kind, threads);
     if (!(next.sim == best.sim) || next.items != best.items) {
       std::fprintf(stderr, "FATAL: nondeterministic outcome for %s threads=%zu\n",
                    next.engine.c_str(), threads);
@@ -318,7 +308,7 @@ void Run(const std::vector<std::size_t>& thread_counts) {
     }
   }
 
-  // --- Experiment 2: scan_threads sweep on the churn scenario (streaming). ---
+  // --- Experiment 2: scan_threads sweep on the churn scenario. ---
   reporter.Header("Parallel scan pipeline: scan_threads sweep (churn scenario, streaming)");
   std::printf("%-12s %8s %12s %9s %9s %9s %9s %6s %12s %12s\n", "engine", "threads",
               "items", "scan(s)", "p1cpu(s)", "p1wall(s)", "merge(s)", "ovl%",
@@ -345,43 +335,6 @@ void Run(const std::vector<std::size_t>& thread_counts) {
                 series.front().engine.c_str());
     sweeps.push_back(std::move(series));
   }
-
-  // --- Experiment 2b: streaming vs barrier at the widest thread count. ---
-  const std::size_t wide_threads =
-      *std::max_element(thread_counts.begin(), thread_counts.end());
-  reporter.Header("Streaming vs barrier pipeline (churn scenario)");
-  std::printf("%-12s %8s %12s %12s %10s %12s %12s\n", "engine", "threads", "barrier(s)",
-              "stream(s)", "speedup", "spec hashes", "stale");
-  double ksm_streaming_speedup = 0.0;
-  for (std::size_t e = 0; e < engines.size(); ++e) {
-    const SweepResult& stream = sweeps[e].back();  // widest streaming cell
-    SweepResult barrier = RunSweep(engines[e], wide_threads, /*streaming=*/false);
-    if (!(barrier.sim == stream.sim) || barrier.items != stream.items) {
-      std::fprintf(stderr,
-                   "FATAL: %s simulated outcome differs between barrier and streaming "
-                   "(speculative-hash validation broken)\n",
-                   barrier.engine.c_str());
-      std::exit(1);
-    }
-    const double speedup =
-        stream.scan_seconds > 0 ? barrier.scan_seconds / stream.scan_seconds : 0.0;
-    if (barrier.engine == "KSM") {
-      ksm_streaming_speedup = speedup;
-    }
-    std::printf("%-12s %8zu %12.3f %12.3f %9.2fx %12llu %12llu\n", barrier.engine.c_str(),
-                wide_threads, barrier.scan_seconds, stream.scan_seconds, speedup,
-                static_cast<unsigned long long>(stream.speculative_hashes),
-                static_cast<unsigned long long>(stream.speculative_stale));
-    reporter.AddRow("streaming_speedup",
-                    {{"engine", barrier.engine},
-                     {"threads", wide_threads},
-                     {"barrier_scan_seconds", barrier.scan_seconds},
-                     {"streaming_scan_seconds", stream.scan_seconds},
-                     {"speedup", speedup},
-                     {"speculative_hashes", stream.speculative_hashes},
-                     {"speculative_stale", stream.speculative_stale}});
-  }
-  std::printf("  simulated outcome identical between barrier and streaming pipelines\n");
 
   const bool measured_basis =
       host_cpus >= *std::max_element(thread_counts.begin(), thread_counts.end());
@@ -446,7 +399,6 @@ void Run(const std::vector<std::size_t>& thread_counts) {
                                         {"overlap_efficiency", r.overlap_efficiency},
                                         {"speculative_hashes", r.speculative_hashes},
                                         {"speculative_stale", r.speculative_stale},
-                                        {"streamed_batches", r.streamed_batches},
                                         {"projected_scan_seconds", r.projected_seconds},
                                         {"pages_per_second", r.measured_pps},
                                         {"projected_pages_per_second", r.projected_pps}});
@@ -476,12 +428,6 @@ void Run(const std::vector<std::size_t>& thread_counts) {
                                 {"value", ksm_parallel},
                                 {"target", 3.0},
                                 {"basis", basis}});
-  std::printf("headline: KSM streaming-vs-barrier scan speedup %.2fx at %zu threads "
-              "(target >= 1x)\n",
-              ksm_streaming_speedup, wide_threads);
-  reporter.AddRow("headlines", {{"name", "ksm_streaming_speedup"},
-                                {"value", ksm_streaming_speedup},
-                                {"target", 1.0}});
   const std::string path = reporter.WriteJson();
   if (!path.empty()) {
     std::printf("wrote %s\n", path.c_str());
@@ -528,10 +474,8 @@ std::vector<std::size_t> ParseArgs(int argc, char** argv) {
 }  // namespace vusion
 
 int main(int argc, char** argv) {
-  // The env overrides exist for CI; the bench owns its thread counts and modes.
+  // The env override exists for CI; the bench owns its thread counts.
   unsetenv("VUSION_SCAN_THREADS");
-  unsetenv("VUSION_SCAN_STREAMING");
-  unsetenv("VUSION_SCAN_CHUNK");
   vusion::Run(vusion::ParseArgs(argc, argv));
   return 0;
 }

@@ -12,7 +12,7 @@ namespace vusion::fleet {
 void FleetConfig::ApplyEnvOverrides() {
   if (const char* env = std::getenv("VUSION_FLEET_THREADS")) {
     const long threads = std::strtol(env, nullptr, 10);
-    if (threads > 0) {
+    if (threads > 0 && static_cast<unsigned long>(threads) <= host::ThreadPool::kMaxThreads) {
       host_threads = static_cast<std::size_t>(threads);
     }
   }
@@ -32,19 +32,9 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
     member_config.machine.seed = config_.scenario.machine.seed + m;
     members_.push_back(std::make_unique<Scenario>(member_config));
   }
+  // The pool steps Machines only. A member with scan_threads > 1 owns its
+  // Machine's scan pool, like a standalone Machine (DESIGN.md §12).
   pool_ = std::make_unique<host::ThreadPool>(std::max<std::size_t>(1, config_.host_threads));
-  if (config_.host_threads > 1) {
-    // Cross-Machine decoupling: every member's scan pipeline dispatches its
-    // hash chunks to the shared fleet pool instead of a per-Machine pool. A
-    // Machine running its serial merge stops occupying a worker slot — its
-    // chunks (and other Machines' stepping) proceed on whichever workers are
-    // free. Stepping stays the priority: workers prefer the earliest-submitted
-    // stream, and the step batch is always submitted first. The single-thread
-    // fleet keeps no external pool — it is the serial reference.
-    for (const auto& member : members_) {
-      member->machine().SetExternalHostPool(pool_.get());
-    }
-  }
   step_ns_.assign(members_.size(), 0);
 }
 

@@ -60,7 +60,8 @@ struct FleetConfig {
   // Images for the per-Machine VM set; empty = VmImage::CatalogImage(j % 44).
   std::vector<VmImageSpec> images;
 
-  // Applies VUSION_FLEET_THREADS (positive integer) to host_threads. The Fleet
+  // Applies VUSION_FLEET_THREADS (a positive integer up to
+  // host::ThreadPool::kMaxThreads; other values are ignored) to host_threads. The Fleet
   // constructor calls this itself (the environment wins), so callers only need
   // it to inspect the effective value up front.
   void ApplyEnvOverrides();

@@ -45,7 +45,6 @@ void FusionEngine::ExportMetrics(MetricsRegistry& registry) const {
   if (const host::ScanTiming* timing = scan_timing()) {
     registry.GetCounter("scan.speculative_hashes").Set(timing->speculative_hashes);
     registry.GetCounter("scan.speculative_stale").Set(timing->speculative_stale);
-    registry.GetCounter("scan.streamed_batches").Set(timing->streamed_batches);
   }
 }
 

@@ -20,11 +20,14 @@ namespace vusion {
 // campaigns, tests) may intervene — e.g. tear down a VM mid-scan. Engines
 // announce each boundary through the phase hook; after kBatchCollected and
 // kHashed the engine re-validates its batch against the live process table, so
-// a hook destroying a process is safe at every announced point.
+// a hook destroying a process is safe at every announced point. Every engine
+// announces kQuantumStart and kQuantumEnd. kBatchCollected comes from WPF and
+// from the streaming pipeline of KSM and VUsion (scan_threads > 1); kHashed is
+// WPF-only, because KSM and VUsion hash while they merge.
 enum class ScanPhase : std::uint8_t {
   kQuantumStart,    // wake-up began, nothing collected yet
   kBatchCollected,  // candidate batch chosen, before hashing
-  kHashed,          // content hashed, before any merge decision
+  kHashed,          // WPF: content hashed, before any merge decision
   kQuantumEnd,      // wake-up finished, state quiescent
 };
 

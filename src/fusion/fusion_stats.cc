@@ -3,23 +3,15 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "src/host/thread_pool.h"
+
 namespace vusion {
 
 void FusionConfig::ApplyEnvOverrides() {
   if (const char* env = std::getenv("VUSION_SCAN_THREADS")) {
     const long threads = std::strtol(env, nullptr, 10);
-    if (threads > 0) {
+    if (threads > 0 && static_cast<unsigned long>(threads) <= host::ThreadPool::kMaxThreads) {
       scan_threads = static_cast<std::size_t>(threads);
-    }
-  }
-  if (const char* env = std::getenv("VUSION_SCAN_STREAMING")) {
-    const long value = std::strtol(env, nullptr, 10);
-    scan_streaming = value != 0;
-  }
-  if (const char* env = std::getenv("VUSION_SCAN_CHUNK")) {
-    const long value = std::strtol(env, nullptr, 10);
-    if (value >= 0) {
-      scan_chunk_pages = static_cast<std::size_t>(value);
     }
   }
 }

@@ -48,21 +48,12 @@ struct FusionConfig {
   SimTime wake_period = 20 * kMillisecond;
   std::size_t pages_per_wake = 100;
 
-  // Host threads for the parallel scan pipeline (phase-1 hashing); 1 = the serial
+  // Host threads for the streaming scan pipeline's hashing; 1 = the serial
   // reference path. Simulated stats, traces, and charged latencies are
   // bit-identical for every value (see DESIGN.md, "Parallel host, serial sim").
   // The VUSION_SCAN_THREADS environment variable overrides this via
   // ApplyEnvOverrides (used by the TSan CI job to run the whole suite threaded).
   std::size_t scan_threads = 1;
-
-  // Decoupled streaming scan (DESIGN.md §14): when a worker pool is available,
-  // overlap phase-1 hashing with the serial merge instead of joining at a
-  // barrier. Host-only — simulated results are bit-identical either way (the
-  // streaming parity cells prove it). chunk_pages sets the hash-chunk /
-  // completion-ticket granularity (0 = auto). VUSION_SCAN_STREAMING (0/1) and
-  // VUSION_SCAN_CHUNK override these via ApplyEnvOverrides.
-  bool scan_streaming = true;
-  std::size_t scan_chunk_pages = 0;
 
   // Fig 4 comparison knobs (on KSM).
   bool zero_pages_only = false;
@@ -92,9 +83,8 @@ struct FusionConfig {
   double mc_compression_ratio = 3.0;     // modeled compression of the cache
 
   // Applies recognized environment overrides (see README "Environment overrides"):
-  //   VUSION_SCAN_THREADS    — scan_threads (positive integer)
-  //   VUSION_SCAN_STREAMING  — scan_streaming (0 or 1)
-  //   VUSION_SCAN_CHUNK      — scan_chunk_pages (positive integer; 0 = auto)
+  //   VUSION_SCAN_THREADS — scan_threads (a positive integer up to
+  //                         host::ThreadPool::kMaxThreads; other values are ignored)
   // MakeEngine and Scenario call this; direct engine construction does not, so
   // building an engine never silently reads the environment.
   void ApplyEnvOverrides();

@@ -36,12 +36,11 @@ Ksm::Ksm(Machine& machine, const FusionConfig& config)
     : FusionEngine(machine, config),
       content_(machine, config.byte_ordered_trees),
       cursor_(machine),
-      pipeline_(machine.memory(), machine.HostPool(config_.scan_threads)),
+      pipeline_(machine.memory()),
       stable_(StableCompare{this}),
       unstable_(UnstableCompare{this}) {
   stable_.SetNodeArena(&arena_);
   unstable_.SetNodeArena(&arena_);
-  pipeline_.ConfigureStreaming(config.scan_streaming, config.scan_chunk_pages);
 }
 
 Ksm::~Ksm() {
@@ -70,14 +69,10 @@ void Ksm::Run() {
   }
   const auto scan_start = std::chrono::steady_clock::now();
   NotifyPhase(ScanPhase::kQuantumStart);
-  // The pool can change between wakes (a Fleet installs its shared pool after
-  // construction); refresh it every quantum. Any pool — even the fleet's with
-  // scan_threads=1 — selects the pipelined path, so a member machine's hashing
-  // can overlap its own merge on the fleet's workers.
-  host::ThreadPool* pool = machine_->HostPool(config_.scan_threads);
-  pipeline_.set_pool(pool);
-  if (pool != nullptr) {
-    ScanQuantumPipelined();
+  // Fetched every quantum: the Machine replaces its pool when another engine
+  // asks for more threads.
+  if (host::ThreadPool* pool = machine_->HostPool(config_.scan_threads)) {
+    ScanQuantumPipelined(*pool);
   } else {
     ScanQuantumSerial();
   }
@@ -118,7 +113,7 @@ void Ksm::ScanQuantumSerial() {
   }
 }
 
-void Ksm::ScanQuantumPipelined() {
+void Ksm::ScanQuantumPipelined(host::ThreadPool& pool) {
   // Collect the quantum first. ScanOne never changes the process list, VMA
   // layout, or mergeable flags (only PTEs and frame contents), so the cursor
   // yields the exact sequence the serial interleaving would.
@@ -146,38 +141,22 @@ void Ksm::ScanQuantumPipelined() {
   }
   NotifyPhase(ScanPhase::kBatchCollected);
   PruneDeadItems();
-  // The kHashed boundary (and its re-prune) only exists for an armed phase
-  // hook; without one, leaving between_phases null lets the pipeline take the
-  // streaming shape, which has no such boundary.
-  std::function<void()> between_phases;
-  if (phase_hook_) {
-    between_phases = [this] {
-      NotifyPhase(ScanPhase::kHashed);
-      PruneDeadItems();
-    };
-  }
-  pipeline_.Run(
-      batch_, timing_, nullptr,
-      [this](host::ScanItem& item) {
-        // A phase hook may have torn the process down after collection; the
-        // cursor-side effects (round wrap) still apply, the page itself is
-        // skipped.
-        if (item.wrapped) {
-          UnstableClear();
-          ++stats_.full_scans;
-        }
-        if (item.process == nullptr ||
-            machine_->processes()[item.pid] == nullptr) {
-          return;
-        }
-        ScanOne(*item.process, item.vpn);
-      },
-      between_phases);
+  pipeline_.Run(pool, batch_, timing_, nullptr, [this](host::ScanItem& item) {
+    // A pruned item's process was torn down by the kBatchCollected hook; the
+    // cursor-side effects (round wrap) still apply, the page itself is skipped.
+    if (item.wrapped) {
+      UnstableClear();
+      ++stats_.full_scans;
+    }
+    if (item.process != nullptr) {
+      ScanOne(*item.process, item.vpn);
+    }
+  });
 }
 
 void Ksm::PruneDeadItems() {
-  // Null out batch items whose process died in a phase hook, keeping the items
-  // themselves (their wrapped flags still drive round bookkeeping).
+  // Null out batch items whose process died in the kBatchCollected hook, keeping
+  // the items themselves (their wrapped flags still drive round bookkeeping).
   for (host::ScanItem& item : batch_) {
     if (item.process != nullptr && machine_->processes()[item.pid] == nullptr) {
       item.process = nullptr;

@@ -226,9 +226,9 @@ class Ksm final : public FusionEngine {
     return map;
   }
   // The wake quantum's scan loop: serial reference (scan_threads<=1) or the
-  // two-phase parallel pipeline. Both produce bit-identical simulated results.
+  // streaming pipeline. Both produce bit-identical simulated results.
   void ScanQuantumSerial();
-  void ScanQuantumPipelined();
+  void ScanQuantumPipelined(host::ThreadPool& pool);
   // Invalidates batch items whose process a phase hook tore down mid-scan.
   void PruneDeadItems();
   // Promotes an unstable match to the stable tree (write-protecting it).

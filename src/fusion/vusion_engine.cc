@@ -20,12 +20,11 @@ VUsionEngine::VUsionEngine(Machine& machine, const FusionConfig& config)
     : FusionEngine(machine, config),
       content_(machine, config.byte_ordered_trees),
       cursor_(machine),
-      pipeline_(machine.memory(), machine.HostPool(config_.scan_threads)),
+      pipeline_(machine.memory()),
       stable_(StableCompare{this}),
       pool_(machine.buddy(), config.pool_frames, machine.rng().Fork()),
       deferred_(machine) {
   stable_.SetNodeArena(&arena_);
-  pipeline_.ConfigureStreaming(config.scan_streaming, config.scan_chunk_pages);
 }
 
 VUsionEngine::~VUsionEngine() {
@@ -69,12 +68,10 @@ void VUsionEngine::Run() {
   deferred_.Drain(pool_);
   const auto scan_start = std::chrono::steady_clock::now();
   NotifyPhase(ScanPhase::kQuantumStart);
-  // Refresh the pool every quantum (a Fleet installs its shared pool after
-  // construction); any pool selects the pipelined path.
-  host::ThreadPool* host_pool = machine_->HostPool(config_.scan_threads);
-  pipeline_.set_pool(host_pool);
-  if (host_pool != nullptr) {
-    ScanQuantumPipelined();
+  // Fetched every quantum: the Machine replaces its pool when another engine
+  // asks for more threads.
+  if (host::ThreadPool* host_pool = machine_->HostPool(config_.scan_threads)) {
+    ScanQuantumPipelined(*host_pool);
   } else {
     ScanQuantumSerial();
   }
@@ -113,7 +110,7 @@ void VUsionEngine::ScanQuantumSerial() {
   }
 }
 
-void VUsionEngine::ScanQuantumPipelined() {
+void VUsionEngine::ScanQuantumPipelined(host::ThreadPool& host_pool) {
   // Collect the quantum first; ScanOne mutates only PTEs and frames, never the
   // process/VMA structure the cursor iterates, so the sequence matches the serial
   // interleaving.
@@ -141,13 +138,13 @@ void VUsionEngine::ScanQuantumPipelined() {
   }
   NotifyPhase(ScanPhase::kBatchCollected);
   PruneDeadItems();
-  // Phase-1 filter: hash only pages the serial scan body would hash. The
+  // Pre-pass filter: hash only pages the serial scan body would hash. The
   // predicate mirrors ScanOne's path to Act (managed pages only relocate,
-  // accessed/young candidates are skipped), reading engine state that nothing
-  // mutates during phase 1. It is advisory: a wrong guess costs host time only —
-  // a skipped page that phase 2 does hash goes through HashContent serially, and
-  // a wasted snapshot is dropped by PrimeHash's generation check. (Items after a
-  // cursor wrap see the pre-wrap round_ here; same advisory slack.)
+  // accessed/young candidates are skipped) and runs before any merge. It is
+  // advisory: a wrong guess costs host time only — a skipped page that the
+  // merge does hash goes through HashContent serially, and a wasted snapshot
+  // is dropped by PrimeHash's generation check. (Items after a cursor wrap see
+  // the pre-wrap round_ here; same advisory slack.)
   const auto filter = [this](const Pte& pte, const host::ScanItem& item) {
     if (pte.huge() && config_.thp_aware &&
         (item.vpn & (kPagesPerHugePage - 1)) != 0) {
@@ -179,37 +176,22 @@ void VUsionEngine::ScanQuantumPipelined() {
         pte.frame + (pte.huge() ? (item.vpn & (kPagesPerHugePage - 1)) : 0);
     return machine_->memory().refcount(frame) == 0;  // fork-shared: kernel's CoW
   };
-  // The kHashed boundary only exists for an armed phase hook; leaving
-  // between_phases null otherwise lets the pipeline take the streaming shape.
-  std::function<void()> between_phases;
-  if (phase_hook_) {
-    between_phases = [this] {
-      NotifyPhase(ScanPhase::kHashed);
-      PruneDeadItems();
-    };
-  }
-  pipeline_.Run(
-      batch_, timing_, filter,
-      [this](host::ScanItem& item) {
-        // A phase hook may have torn the process down after collection; the
-        // cursor-side effects (round wrap) still apply, the page itself is
-        // skipped.
-        if (item.wrapped) {
-          ++round_;
-          ++stats_.full_scans;
-        }
-        if (item.process == nullptr ||
-            machine_->processes()[item.pid] == nullptr) {
-          return;
-        }
-        ScanOne(*item.process, item.vpn);
-      },
-      between_phases);
+  pipeline_.Run(host_pool, batch_, timing_, filter, [this](host::ScanItem& item) {
+    // A pruned item's process was torn down by the kBatchCollected hook; the
+    // cursor-side effects (round wrap) still apply, the page itself is skipped.
+    if (item.wrapped) {
+      ++round_;
+      ++stats_.full_scans;
+    }
+    if (item.process != nullptr) {
+      ScanOne(*item.process, item.vpn);
+    }
+  });
 }
 
 void VUsionEngine::PruneDeadItems() {
-  // Null out batch items whose process died in a phase hook, keeping the items
-  // themselves (their wrapped flags still drive round bookkeeping).
+  // Null out batch items whose process died in the kBatchCollected hook, keeping
+  // the items themselves (their wrapped flags still drive round bookkeeping).
   for (host::ScanItem& item : batch_) {
     if (item.process != nullptr && machine_->processes()[item.pid] == nullptr) {
       item.process = nullptr;

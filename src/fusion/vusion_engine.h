@@ -123,9 +123,9 @@ class VUsionEngine final : public FusionEngine {
 
   void ScanOne(Process& process, Vpn vpn);
   // The wake quantum's scan loop: serial reference (scan_threads<=1) or the
-  // two-phase parallel pipeline. Both produce bit-identical simulated results.
+  // streaming pipeline. Both produce bit-identical simulated results.
   void ScanQuantumSerial();
-  void ScanQuantumPipelined();
+  void ScanQuantumPipelined(host::ThreadPool& pool);
   // Invalidates batch items whose process a phase hook tore down mid-scan.
   void PruneDeadItems();
   // Removes all access and (fake) merges the page (the SB-enforcing action).

@@ -25,9 +25,8 @@ int Wpf::CombinedCompare::operator()(Combined* const& a, Combined* const& b) con
 Wpf::Wpf(Machine& machine, const FusionConfig& config)
     : FusionEngine(machine, config),
       content_(machine, config.byte_ordered_trees),
-      pipeline_(machine.memory(), machine.HostPool(config_.scan_threads)),
+      pipeline_(machine.memory()),
       linear_(machine.buddy(), machine.memory()) {
-  pipeline_.ConfigureStreaming(config.scan_streaming, config.scan_chunk_pages);
   trees_.reserve(kShards);
   for (std::size_t i = 0; i < kShards; ++i) {
     trees_.push_back(std::make_unique<Tree>(CombinedCompare{this}));
@@ -280,20 +279,17 @@ void Wpf::PruneDeadCandidates(std::vector<Candidate>& candidates) const {
 }
 
 void Wpf::HashCandidates(std::vector<Candidate>& candidates) {
-  host::ThreadPool* pool = machine_->HostPool(config_.scan_threads);
-  pipeline_.set_pool(pool);
-  if (pool != nullptr && candidates.size() > 1) {
-    // Parallel phase 1: warm the host-side hash memos. Frames are preset, so the
-    // pipeline skips PTE resolution; the serial merge phase below then issues the
-    // same charged Hash calls the reference path does, hitting the primed memo.
-    // The merge callback mutates nothing a hash worker reads (charges + memo
-    // only), so the streaming shape is safe here without further ceremony.
+  if (host::ThreadPool* pool = machine_->HostPool(config_.scan_threads)) {
+    // Streamed hashing warms the host-side hash memos. Frames are preset, so the
+    // pipeline skips PTE resolution; the merge callback then issues the same
+    // charged Hash calls the reference path does, hitting the primed memo. It
+    // mutates nothing a hash worker reads (charges + memo only).
     std::vector<host::ScanItem> items(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       items[i].frame = candidates[i].frame;
       items[i].index = i;
     }
-    pipeline_.Run(items, timing_, nullptr, [&](host::ScanItem& item) {
+    pipeline_.Run(*pool, items, timing_, nullptr, [&](host::ScanItem& item) {
       Candidate& c = candidates[item.index];
       c.hash = content_.Hash(c.frame);
     });

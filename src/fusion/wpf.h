@@ -103,8 +103,8 @@ class Wpf final : public FusionEngine {
   // Drops candidates whose process a phase hook tore down mid-pass.
   void PruneDeadCandidates(std::vector<Candidate>& candidates) const;
   // Fills every candidate's hash, charging content_.Hash in candidate order. With
-  // scan_threads>1 the host hash values are precomputed in parallel first (phase
-  // 1); the charge stream is identical either way.
+  // scan_threads>1 the host hash values are streamed in parallel ahead of the
+  // charged calls; the charge stream is identical either way.
   void HashCandidates(std::vector<Candidate>& candidates);
   void MergeIntoCombined(const Candidate& candidate, Combined* entry);
   void DropRef(Combined* entry);

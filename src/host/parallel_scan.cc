@@ -12,10 +12,10 @@ namespace vusion::host {
 
 namespace {
 
-// Streaming chunk size when the engine leaves it on auto: small enough that the
-// merge starts long before hashing finishes, large enough that the per-chunk
-// claim/publish cost and the scan-gate acquisition amortize.
-constexpr std::size_t kAutoChunkPages = 32;
+// Hash chunk size cap: small enough that the merge starts long before hashing
+// finishes, large enough that the per-chunk claim/publish cost and the
+// scan-gate acquisition amortize. Smaller batches use a quarter of the batch.
+constexpr std::size_t kMaxChunkPages = 32;
 
 void MaxRelaxed(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
   std::uint64_t seen = slot.load(std::memory_order_relaxed);
@@ -26,118 +26,29 @@ void MaxRelaxed(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
 
 }  // namespace
 
-bool ParallelScanPipeline::Resolve(ScanItem& item, const Phase1Filter& filter) const {
-  if (item.frame != kInvalidFrame) {
-    return true;
-  }
-  if (item.as == nullptr) {
-    return false;
-  }
-  const Pte* pte = item.as->GetPte(item.vpn);
-  if (pte == nullptr || !pte->present() || (filter && !filter(*pte, item))) {
-    return false;
-  }
-  item.frame = pte->frame;
-  if (pte->huge()) {
-    item.frame += static_cast<FrameId>(item.vpn & (kPagesPerHugePage - 1));
-  }
-  return true;
-}
-
-void ParallelScanPipeline::ResolveAndPeek(ScanItem& item, const Phase1Filter& filter) const {
-  if (!Resolve(item, filter)) {
-    return;
-  }
-  item.snapshot = memory_->PeekHash(item.frame);
-  // In the barrier shape nothing merges before the join, so the snapshot's own
-  // generation IS the pre-merge generation.
-  item.premerge_gen = item.snapshot.content_gen;
-  item.hashed = true;
-}
-
 void ParallelScanPipeline::ResolvePreMerge(ScanItem& item, const Phase1Filter& filter) const {
-  if (Resolve(item, filter)) {
-    item.premerge_gen = memory_->content_generation(item.frame);
-  }
-}
-
-void ParallelScanPipeline::MergeOne(ScanItem& item, ScanTiming& timing,
-                                    const std::function<void(ScanItem&)>& merge_one) {
-  if (item.hashed) {
-    ++timing.speculative_hashes;
-    // Conflict check: prime only a snapshot taken at the pre-merge generation
-    // that is also still current (the two differ only transiently mid-stream).
-    // A mismatch means the merge mutated the frame around the speculative
-    // hash; the snapshot is dropped and the engine body rehashes on demand.
-    const bool fresh = item.snapshot.content_gen == item.premerge_gen &&
-                       memory_->PrimeHash(item.frame, item.snapshot);
-    if (!fresh) {
-      ++timing.speculative_stale;
+  if (item.frame == kInvalidFrame) {
+    if (item.as == nullptr) {
+      return;
+    }
+    const Pte* pte = item.as->GetPte(item.vpn);
+    if (pte == nullptr || !pte->present() || (filter && !filter(*pte, item))) {
+      return;
+    }
+    item.frame = pte->frame;
+    if (pte->huge()) {
+      item.frame += static_cast<FrameId>(item.vpn & (kPagesPerHugePage - 1));
     }
   }
-  merge_one(item);
+  item.premerge_gen = memory_->content_generation(item.frame);
 }
 
-void ParallelScanPipeline::Run(std::vector<ScanItem>& items, ScanTiming& timing,
-                               const Phase1Filter& filter,
-                               const std::function<void(ScanItem&)>& merge_one,
-                               const std::function<void()>& between_phases) {
-  // The streaming shape has no between-phases boundary to announce (hashing is
-  // still in flight when merging starts), so an armed phase hook forces the
-  // barrier shape. Single-item batches gain nothing from a stream.
-  if (streaming_enabled_ && between_phases == nullptr && pool_ != nullptr &&
-      items.size() > 1) {
-    RunStreaming(items, timing, filter, merge_one);
-    return;
-  }
-  RunBarrier(items, timing, filter, merge_one, between_phases);
-}
-
-void ParallelScanPipeline::RunBarrier(std::vector<ScanItem>& items, ScanTiming& timing,
-                                      const Phase1Filter& filter,
-                                      const std::function<void(ScanItem&)>& merge_one,
-                                      const std::function<void()>& between_phases) {
-  // Phase 1: shard the quantum across workers; each chunk only reads simulated
-  // state and writes its own disjoint items.
-  std::atomic<std::uint64_t> phase1_cpu{0};
-  const auto chunk = [&](std::size_t begin, std::size_t end) {
-    const std::uint64_t t0 = NowNs();
-    for (std::size_t i = begin; i < end; ++i) {
-      ResolveAndPeek(items[i], filter);
-    }
-    phase1_cpu.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-  };
-  const std::uint64_t hash_start = NowNs();
-  if (pool_ != nullptr && items.size() > 1) {
-    pool_->ParallelFor(items.size(), 0, chunk);
-  } else {
-    chunk(0, items.size());
-  }
-  timing.phase1_wall_ns += NowNs() - hash_start;
-  timing.phase1_cpu_ns += phase1_cpu.load(std::memory_order_relaxed);
-  timing.items += items.size();
-
-  if (between_phases) {
-    between_phases();
-  }
-
-  // Phase 2: serial canonical-order merge. Priming right before each page keeps
-  // the snapshot's generation check maximally fresh; the engine body then runs
-  // verbatim, charging latencies exactly as the serial reference path.
-  const std::uint64_t merge_start = NowNs();
-  for (ScanItem& item : items) {
-    MergeOne(item, timing, merge_one);
-  }
-  timing.merge_wall_ns += NowNs() - merge_start;
-}
-
-void ParallelScanPipeline::RunStreaming(std::vector<ScanItem>& items, ScanTiming& timing,
-                                        const Phase1Filter& filter,
-                                        const std::function<void(ScanItem&)>& merge_one) {
-  // Serial pre-pass: PTE-resolve, filter, and pre-merge generation
-  // capture all read the batch's pre-merge state, exactly as barrier phase 1
-  // sees it — they cannot overlap the merge, but they are cheap relative to
-  // hashing, which is all the workers do.
+void ParallelScanPipeline::Run(ThreadPool& pool, std::vector<ScanItem>& items,
+                               ScanTiming& timing, const Phase1Filter& filter,
+                               const std::function<void(ScanItem&)>& merge_one) {
+  // Serial pre-pass: PTE-resolve, filter, and pre-merge generation capture
+  // all read the batch's pre-merge state — they cannot overlap the merge, but
+  // they are cheap relative to hashing, which is all the workers do.
   const std::uint64_t prepass_start = NowNs();
   for (ScanItem& item : items) {
     ResolvePreMerge(item, filter);
@@ -166,13 +77,11 @@ void ParallelScanPipeline::RunStreaming(std::vector<ScanItem>& items, ScanTiming
     MaxRelaxed(hash_last_end, t1);
   };
 
-  std::size_t chunk = chunk_pages_;
-  if (chunk == 0) {
-    chunk = std::min(kAutoChunkPages, std::max<std::size_t>(1, items.size() / 4));
-  }
+  const std::size_t chunk =
+      std::min(kMaxChunkPages, std::max<std::size_t>(1, items.size() / 4));
 
   memory_->BeginStreamingScan();
-  ThreadPool::Stream* stream = pool_->BeginStream(items.size(), chunk, hash_chunk);
+  ThreadPool::Stream* stream = pool.BeginStream(items.size(), chunk, hash_chunk);
   std::exception_ptr merge_error;
   std::uint64_t merge_wall = 0;
   try {
@@ -180,11 +89,11 @@ void ParallelScanPipeline::RunStreaming(std::vector<ScanItem>& items, ScanTiming
     std::size_t ready = 0;
     while (next < items.size()) {
       if (next >= ready) {
-        ready = pool_->StreamReadyItems(stream);
+        ready = pool.StreamReadyItems(stream);
         if (next >= ready) {
           // Ahead of the workers: hash an unclaimed chunk ourselves, or spin
           // briefly on a chunk already in flight elsewhere.
-          if (!pool_->HelpStream(stream)) {
+          if (!pool.HelpStream(stream)) {
             std::this_thread::yield();
           }
           continue;
@@ -195,7 +104,19 @@ void ParallelScanPipeline::RunStreaming(std::vector<ScanItem>& items, ScanTiming
       // waits — so overlap efficiency compares true hash and merge costs.
       const std::uint64_t m0 = NowNs();
       for (; next < ready; ++next) {
-        MergeOne(items[next], timing, merge_one);
+        ScanItem& item = items[next];
+        if (item.hashed) {
+          ++timing.speculative_hashes;
+          // Conflict check: prime only a snapshot taken at the pre-merge
+          // generation that is also still current. A mismatch means the merge
+          // mutated the frame around the speculative hash; the snapshot is
+          // dropped and the engine body rehashes on demand.
+          if (item.snapshot.content_gen != item.premerge_gen ||
+              !memory_->PrimeHash(item.frame, item.snapshot)) {
+            ++timing.speculative_stale;
+          }
+        }
+        merge_one(item);
       }
       merge_wall += NowNs() - m0;
     }
@@ -203,7 +124,7 @@ void ParallelScanPipeline::RunStreaming(std::vector<ScanItem>& items, ScanTiming
     merge_error = std::current_exception();
   }
   try {
-    pool_->JoinStream(stream);
+    pool.JoinStream(stream);
   } catch (...) {
     if (merge_error == nullptr) {
       merge_error = std::current_exception();
@@ -219,7 +140,6 @@ void ParallelScanPipeline::RunStreaming(std::vector<ScanItem>& items, ScanTiming
   timing.phase1_wall_ns +=
       last_end > prepass_start ? last_end - prepass_start : NowNs() - prepass_start;
   timing.merge_wall_ns += merge_wall;
-  ++timing.streamed_batches;
 
   if (merge_error != nullptr) {
     std::rethrow_exception(merge_error);

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <stdexcept>
+#include <string>
 
 namespace vusion::host {
 
@@ -22,7 +24,7 @@ class ThreadPool::Stream {
   std::vector<std::size_t> stripe_pos;   // kStriped: per-stripe claim position
   std::size_t claimed = 0;               // kStriped: total tasks claimed
   std::size_t in_flight = 0;
-  std::vector<std::uint8_t> chunk_done;  // kChunks, tracked: per-chunk done flag
+  std::vector<std::uint8_t> chunk_done;  // kChunks: per-chunk done flag
   std::size_t done_chunks = 0;           // contiguously-done chunk prefix
   std::atomic<std::size_t> done_items{0};
   std::exception_ptr first_error;
@@ -34,6 +36,11 @@ class ThreadPool::Stream {
 };
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("ThreadPool: " + std::to_string(threads) +
+                                " threads exceeds the limit of " +
+                                std::to_string(kMaxThreads));
+  }
   const std::size_t spawn = threads > 1 ? threads - 1 : 0;
   workers_.reserve(spawn);
   for (std::size_t i = 0; i < spawn; ++i) {
@@ -103,7 +110,7 @@ void ThreadPool::RunUnit(Stream* s, std::size_t begin, std::size_t end) {
     s->first_error = error;
   }
   --s->in_flight;
-  if (!s->chunk_done.empty()) {
+  if (s->mode == Stream::Mode::kChunks) {
     // A failed chunk still counts as done so the ticket prefix never stalls;
     // the error surfaces at JoinStream.
     s->chunk_done[begin / s->grain] = 1;
@@ -143,8 +150,7 @@ void ThreadPool::WorkerLoop(std::size_t worker_id) {
 }
 
 ThreadPool::Stream* ThreadPool::Submit(std::size_t count, std::size_t grain,
-                                       bool striped, Body body,
-                                       bool track_completion) {
+                                       bool striped, Body body) {
   std::lock_guard<std::mutex> lock(mu_);
   Stream* s;
   if (!free_.empty()) {
@@ -167,10 +173,8 @@ ThreadPool::Stream* ThreadPool::Submit(std::size_t count, std::size_t grain,
   if (striped) {
     s->stripe_pos.assign(thread_count(), 0);
     s->chunk_done.clear();
-  } else if (track_completion) {
-    s->chunk_done.assign((count + s->grain - 1) / s->grain, 0);
   } else {
-    s->chunk_done.clear();
+    s->chunk_done.assign((count + s->grain - 1) / s->grain, 0);
   }
   live_.push_back(s);
   work_ready_.notify_all();
@@ -201,22 +205,6 @@ void ThreadPool::DrainAndJoin(Stream* s, std::size_t stripe) {
   }
 }
 
-void ThreadPool::ParallelFor(std::size_t count, std::size_t grain, Body body) {
-  if (count == 0) {
-    return;
-  }
-  if (grain == 0) {
-    // A few chunks per thread so dynamic dispatch can balance uneven chunk costs.
-    grain = std::max<std::size_t>(1, count / (thread_count() * 4));
-  }
-  if (workers_.empty() || count <= grain) {
-    body(0, count);
-    return;
-  }
-  DrainAndJoin(Submit(count, grain, /*striped=*/false, body, /*track_completion=*/false),
-               /*stripe=*/workers_.size());
-}
-
 void ThreadPool::ParallelTasks(std::size_t count, Body body) {
   if (count == 0) {
     return;
@@ -227,13 +215,12 @@ void ThreadPool::ParallelTasks(std::size_t count, Body body) {
     }
     return;
   }
-  DrainAndJoin(Submit(count, /*grain=*/1, /*striped=*/true, body, /*track_completion=*/false),
-               /*stripe=*/workers_.size());
+  DrainAndJoin(Submit(count, /*grain=*/1, /*striped=*/true, body), /*stripe=*/workers_.size());
 }
 
 ThreadPool::Stream* ThreadPool::BeginStream(std::size_t count, std::size_t grain,
                                             Body body) {
-  return Submit(count, grain, /*striped=*/false, body, /*track_completion=*/true);
+  return Submit(count, grain, /*striped=*/false, body);
 }
 
 std::size_t ThreadPool::StreamReadyItems(const Stream* s) const {

@@ -1,4 +1,4 @@
-// Fixed-size host worker pool for the parallel scan pipeline and the fleet
+// Fixed-size host worker pool for the streaming scan pipeline and the fleet
 // executor.
 //
 // This is HOST-side machinery only: it parallelizes the simulator's own wall-clock
@@ -8,12 +8,8 @@
 //
 // The pool runs any number of concurrent *streams* (dispatched batches) over one
 // worker set. Workers claim work from live streams in submission (FIFO) order, so
-// an urgent foreground batch is never starved by a later background one. Three
+// an urgent foreground batch is never starved by a later background one. Two
 // entry points share the machinery:
-//
-//   ParallelFor splits [0, count) into fixed-size chunks handed out from a shared
-//   cursor under the pool mutex (dynamic load balancing) and blocks until done —
-//   the barrier-mode scan sharding.
 //
 //   ParallelTasks hands out single indices with per-task stripe affinity: task t's
 //   home stripe is t % thread_count(), and each thread drains its own stripe before
@@ -21,19 +17,18 @@
 //   after quantum (warm caches) while an unbalanced quantum still load-balances.
 //   Blocks until done.
 //
-//   BeginStream is the non-blocking form: it submits the chunked batch and returns
+//   BeginStream is the non-blocking form: it submits a chunked batch and returns
 //   immediately. Workers (and the caller, via HelpStream) hash chunks while the
 //   caller consumes them in ticket order through StreamReadyItems — the in-order
-//   completion stream the decoupled scan pipeline drains (DESIGN.md §14).
-//   JoinStream blocks for full completion and rethrows the first captured error.
+//   completion stream the scan pipeline drains (DESIGN.md §14). JoinStream
+//   blocks for full completion and rethrows the first captured error.
 //
 // Dispatch calls are reentrant: a body running on a pool thread may itself submit
-// and join further streams on the same pool (a fleet Machine's step dispatching
-// its scan chunks). The blocking callers participate as workers on their own
-// stream, so progress never depends on a free pool thread. Stream records are
-// recycled through a free list — steady-state dispatch performs no heap
-// allocation — and bodies are passed as a non-owning Body view, not a
-// std::function, for the same reason. The first exception thrown by any
+// and join further streams on the same pool. The blocking callers participate as
+// workers on their own stream, so progress never depends on a free pool thread.
+// Stream records are recycled through a free list — steady-state dispatch
+// performs no heap allocation — and bodies are passed as a non-owning Body view,
+// not a std::function, for the same reason. The first exception thrown by any
 // chunk/task is captured and rethrown on the joining thread; remaining chunks
 // still run (and a failed chunk still counts as completed, so the in-order
 // completion stream never stalls).
@@ -81,10 +76,15 @@ class ThreadPool {
   // JoinStream that retires it.
   class Stream;
 
+  // Upper bound on `threads`. Savestate config records and environment
+  // variables are checked against it before any pool is built, and the
+  // constructor rejects anything larger.
+  static constexpr std::size_t kMaxThreads = 256;
+
   // `threads` is the total concurrency including the calling thread, so the pool
-  // spawns threads-1 background workers. threads<=1 spawns none and the blocking
-  // dispatch calls run inline (streams are then drained by HelpStream/JoinStream
-  // on the caller — the degenerate-but-identical form of the same pipeline).
+  // spawns threads-1 background workers. threads<=1 spawns none: ParallelTasks
+  // then runs inline and streams are drained by HelpStream/JoinStream on the
+  // caller. Throws std::invalid_argument above kMaxThreads, before spawning.
   explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
@@ -92,11 +92,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] std::size_t thread_count() const { return workers_.size() + 1; }
-
-  // Runs body(begin, end) over disjoint chunks covering [0, count), concurrently
-  // on the pool threads plus the caller, and returns after every chunk completed.
-  // grain=0 picks a chunk size targeting a few chunks per thread.
-  void ParallelFor(std::size_t count, std::size_t grain, Body body);
 
   // Runs body(t, t+1) once for every task t in [0, count), concurrently, with
   // per-task stripe affinity (task t's home thread is t % thread_count()) and
@@ -110,7 +105,7 @@ class ThreadPool {
   // index order, which is also the completion-stream ticket order. grain=0 maps
   // to 1. The returned stream must be retired with JoinStream exactly once.
   //
-  // LIFETIME: Body is a non-owning view, and unlike the blocking calls this one
+  // LIFETIME: Body is a non-owning view, and unlike ParallelTasks this one
   // returns while chunks are still running — the callable must be an lvalue
   // that outlives JoinStream, never a temporary lambda in the argument list.
   Stream* BeginStream(std::size_t count, std::size_t grain, Body body);
@@ -138,7 +133,7 @@ class ThreadPool {
   // Runs one claimed unit outside the lock and records its completion.
   void RunUnit(Stream* s, std::size_t begin, std::size_t end);
   [[nodiscard]] bool AnyUnclaimedLocked() const;
-  Stream* Submit(std::size_t count, std::size_t grain, bool striped, Body body, bool track_completion);
+  Stream* Submit(std::size_t count, std::size_t grain, bool striped, Body body);
   // Drains `s` on the caller (claim-and-run until nothing unclaimed), waits for
   // stragglers, retires the stream, rethrows the first captured error.
   void DrainAndJoin(Stream* s, std::size_t stripe);

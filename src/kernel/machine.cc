@@ -68,9 +68,6 @@ FaultInjector& Machine::EnableChaosWithSchedule(const ChaosConfig& config,
 }
 
 host::ThreadPool* Machine::HostPool(std::size_t threads) {
-  if (external_host_pool_ != nullptr) {
-    return external_host_pool_;
-  }
   if (threads <= 1) {
     return nullptr;
   }

@@ -88,19 +88,12 @@ class Machine {
                                          const std::vector<FaultRecord>& schedule);
   [[nodiscard]] FaultInjector* chaos() { return chaos_.get(); }
 
-  // Lazily-created host worker pool for the parallel scan pipeline (host-side
+  // Lazily-created host worker pool for the streaming scan pipeline (host-side
   // wall-clock machinery only; never touches simulated state). Returns null for
   // threads<=1 — the serial reference path. The pool is shared by all engines on
-  // this machine and grown if a later caller asks for more threads; it is joined
-  // and destroyed with the machine. An installed external pool takes precedence
-  // regardless of `threads`.
+  // this machine and replaced by a larger one if a later caller asks for more
+  // threads; it is joined and destroyed with the machine.
   host::ThreadPool* HostPool(std::size_t threads);
-
-  // Points this machine's engines at a pool owned elsewhere (the Fleet's worker
-  // pool), so a fleet member's hash chunks are serviced by the shared workers
-  // while its serial merge no longer occupies a worker slot. Non-owning; never
-  // serialized. Pass null to fall back to the lazily-owned pool.
-  void SetExternalHostPool(host::ThreadPool* pool) { external_host_pool_ = pool; }
 
   // --- Processes ---
 
@@ -228,7 +221,6 @@ class Machine {
   std::vector<Daemon*> daemons_;
   std::unique_ptr<Khugepaged> khugepaged_;
   std::unique_ptr<host::ThreadPool> host_pool_;
-  host::ThreadPool* external_host_pool_ = nullptr;
   std::unique_ptr<FaultInjector> chaos_;
   TraceBuffer trace_;
   std::uint64_t total_faults_ = 0;

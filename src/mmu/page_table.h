@@ -54,9 +54,8 @@ class PageTable {
   // The non-const overload memoizes the last PMD-level and leaf nodes, so the
   // scanners' sequential walks touch one node instead of four — and a repeat
   // hit on the same 2 MB region (511 of 512 sequential vpns) is a single
-  // inline indexed load. The const overload never touches the memo: it is the
-  // one called from parallel phase-1 workers, which may resolve in the same
-  // address space concurrently.
+  // inline indexed load. The const overload never touches the memo: the
+  // streaming scan pipeline resolves through it.
   Pte* Resolve(Vpn vpn, bool create) {
     if ((vpn >> 9) == memo_region_ && memo_leaf_ != nullptr) {
       return &memo_leaf_->entries[IndexAt(vpn, 0)];

@@ -87,13 +87,12 @@ class PhysicalMemory {
   // the dependent loads start resident.
   void PrefetchFrame(FrameId f) const { __builtin_prefetch(&frames_[f]); }
 
-  // --- Lock-free snapshot accessors (host parallel scan, phase 1) ---
+  // --- Lock-free snapshot accessors (host streaming scan) ---
   //
   // PeekHash is HashContent minus every side effect: it never writes the per-frame
   // memo, never touches the pattern-hash cache counters, and never inserts into the
-  // cache, so any number of host worker threads may call it concurrently — either
-  // while no mutator runs (the barrier pipeline's phase-1 contract) or holding the
-  // streaming-scan gate shared while mutators take it exclusive. PrimeHash installs
+  // cache, so any number of host worker threads may call it concurrently while
+  // holding the streaming-scan gate shared (mutators take it exclusive). PrimeHash installs
   // a snapshot into the frame memo from the serial thread, and only if the frame's
   // content generation still matches — a stale snapshot is simply dropped, so a
   // primed memo is always exactly what HashContent would have computed itself.

@@ -7,7 +7,11 @@
 #ifndef VUSION_SRC_SNAPSHOT_CONFIG_CODEC_H_
 #define VUSION_SRC_SNAPSHOT_CONFIG_CODEC_H_
 
+#include <cstdint>
+#include <string>
+
 #include "src/fusion/fusion_stats.h"
+#include "src/host/thread_pool.h"
 #include "src/kernel/khugepaged.h"
 #include "src/kernel/machine.h"
 #include "src/snapshot/io.h"
@@ -141,8 +145,6 @@ inline void WriteFusionConfig(SnapshotWriter& w, const FusionConfig& c) {
   w.U64(c.wake_period);
   w.U64(c.pages_per_wake);
   w.U64(c.scan_threads);
-  w.Bool(c.scan_streaming);
-  w.U64(c.scan_chunk_pages);
   w.Bool(c.zero_pages_only);
   w.Bool(c.unmerge_on_any_access);
   w.U64(c.pool_frames);
@@ -162,9 +164,14 @@ inline FusionConfig ReadFusionConfig(SnapshotReader& r) {
   FusionConfig c;
   c.wake_period = r.U64();
   c.pages_per_wake = static_cast<std::size_t>(r.U64());
-  c.scan_threads = static_cast<std::size_t>(r.U64());
-  c.scan_streaming = r.Bool();
-  c.scan_chunk_pages = static_cast<std::size_t>(r.U64());
+  const std::uint64_t scan_threads = r.U64();
+  if (scan_threads > host::ThreadPool::kMaxThreads) {
+    // Checked before any engine (and its host pool) is built from the record.
+    throw RestoreError("config", "scan_threads " + std::to_string(scan_threads) +
+                                     " exceeds the limit of " +
+                                     std::to_string(host::ThreadPool::kMaxThreads));
+  }
+  c.scan_threads = static_cast<std::size_t>(scan_threads);
   c.zero_pages_only = r.Bool();
   c.unmerge_on_any_access = r.Bool();
   c.pool_frames = static_cast<std::size_t>(r.U64());

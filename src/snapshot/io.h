@@ -29,13 +29,16 @@ namespace vusion::snapshot {
 
 inline constexpr std::uint64_t kMagic = 0x53535653'4e4f4953ull;  // "SIONVSSS"
 // Version history; every older image fails closed, naming its version:
-//   v2: FusionConfig gained scan_streaming + scan_chunk_pages (decoupled
-//       streaming scan pipeline).
+//   v2: FusionConfig gained the streaming-shape flag and the hash-chunk size
+//       (decoupled streaming scan pipeline).
 //   v3: delta scanning removed. The FusionConfig record lost its delta-scan
 //       flag byte, the machine section its write-epoch flag, each address
 //       space its write-epoch records, and each engine section its pass-cache
 //       ledger (KSM also its stable-tree version).
-inline constexpr std::uint32_t kVersion = 3;
+//   v4: the barrier scan shape removed. The FusionConfig record lost the
+//       streaming-shape flag and the hash-chunk size; a scan_threads above
+//       host::ThreadPool::kMaxThreads fails closed.
+inline constexpr std::uint32_t kVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 20;  // magic + version + count + crc
 
 // Structured restore failure: carries the name of the section (or "header")

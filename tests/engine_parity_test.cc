@@ -10,6 +10,7 @@
 
 #include "src/chaos/invariant_auditor.h"
 #include "src/fusion/engine_factory.h"
+#include "src/host/thread_pool.h"
 #include "src/kernel/process.h"
 
 namespace vusion {
@@ -349,13 +350,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Serial-vs-parallel scan parity ---
 //
-// FusionConfig::scan_threads parallelizes only phase 1 of the scan pipeline (host
-// hashing against immutable frame snapshots); phase 2 replays the engine's scan
-// body serially in canonical page order. Everything simulated — stats, saved
+// FusionConfig::scan_threads parallelizes only the scan pipeline's speculative
+// host hashing; the engine's scan body runs serially in canonical page order,
+// consuming the hash stream as it completes. Everything simulated — stats, saved
 // frames, the full trace event stream, and the final clock value — must therefore
 // be bit-identical for every thread count, with threads=1 as the serial reference.
-// The workload deliberately churns page contents mid-run so the parallel hash
-// phase races real invalidations (stale snapshots must be dropped, not installed).
+// The workload deliberately churns page contents mid-run so the parallel hashing
+// races real invalidations (stale snapshots must be dropped, not installed).
 
 struct ThreadedResult {
   FingerprintResult base;
@@ -363,8 +364,7 @@ struct ThreadedResult {
 };
 
 ThreadedResult RunThreadedScenario(EngineKind kind, std::uint64_t seed,
-                                   std::size_t threads, bool streaming = true,
-                                   std::size_t chunk_pages = 0) {
+                                   std::size_t threads, std::size_t pages_per_wake) {
   MachineConfig machine_config;
   machine_config.frame_count = 1u << 14;
   machine_config.seed = seed;
@@ -372,12 +372,10 @@ ThreadedResult RunThreadedScenario(EngineKind kind, std::uint64_t seed,
   machine.trace().set_enabled(true);
   FusionConfig fusion_config;
   fusion_config.wake_period = 1 * kMillisecond;
-  fusion_config.pages_per_wake = 256;
+  fusion_config.pages_per_wake = pages_per_wake;
   fusion_config.pool_frames = 1024;
   fusion_config.wpf_period = 10 * kMillisecond;
   fusion_config.scan_threads = threads;
-  fusion_config.scan_streaming = streaming;
-  fusion_config.scan_chunk_pages = chunk_pages;
   ScopedEngine engine(kind, machine, fusion_config);
 
   constexpr std::size_t kVms = 3;
@@ -461,62 +459,26 @@ class ScanThreadsParityTest : public ::testing::TestWithParam<ThreadedParam> {
     // The TSan CI job forces scan_threads via the environment; this test owns the
     // thread count explicitly, so drop the override for the comparison to be real.
     unsetenv("VUSION_SCAN_THREADS");
-    unsetenv("VUSION_SCAN_STREAMING");
-    unsetenv("VUSION_SCAN_CHUNK");
   }
 };
 
+// Each input batch size streams at a different chunk size: 256-page quanta
+// hash in 32-page chunks, and a quantum of at most 7 pages in 1-page chunks,
+// the most interleaved stream. WPF's batch is a whole pass, whatever the
+// quantum.
 TEST_P(ScanThreadsParityTest, SerialAndParallelScansAreBitIdentical) {
   const ThreadedParam param = GetParam();
-  const ThreadedResult serial = RunThreadedScenario(param.kind, param.seed, 1);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const ThreadedResult parallel = RunThreadedScenario(param.kind, param.seed, threads);
-    EXPECT_EQ(serial.base.pages_scanned, parallel.base.pages_scanned) << threads;
-    EXPECT_EQ(serial.base.merges, parallel.base.merges) << threads;
-    EXPECT_EQ(serial.base.fake_merges, parallel.base.fake_merges) << threads;
-    EXPECT_EQ(serial.base.unmerges_cow, parallel.base.unmerges_cow) << threads;
-    EXPECT_EQ(serial.base.unmerges_coa, parallel.base.unmerges_coa) << threads;
-    EXPECT_EQ(serial.base.zero_page_merges, parallel.base.zero_page_merges) << threads;
-    EXPECT_EQ(serial.base.full_scans, parallel.base.full_scans) << threads;
-    EXPECT_EQ(serial.base.frames_saved, parallel.base.frames_saved) << threads;
-    EXPECT_EQ(serial.base.final_time, parallel.base.final_time) << threads;
-    ASSERT_EQ(serial.trace.size(), parallel.trace.size()) << threads;
-    for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-      const TraceEvent& a = serial.trace[i];
-      const TraceEvent& b = parallel.trace[i];
-      ASSERT_TRUE(a.time == b.time && a.type == b.type && a.process_id == b.process_id &&
-                  a.vpn == b.vpn && a.frame == b.frame)
-          << "threads=" << threads << " event " << i << " diverged at time " << a.time
-          << " vs " << b.time;
-    }
-  }
-  // The scenario must exercise fusion and unmerge churn, not compare no-ops.
-  EXPECT_GT(serial.base.merges + serial.base.fake_merges, 0u);
-  EXPECT_GT(serial.trace.size(), 0u);
-}
-
-// The streaming pipeline (speculative hash + validated merge, DESIGN.md §14)
-// must be bit-identical to the barrier shape and to the serial reference for
-// every chunk size and thread count: chunk=1 maximizes handoff traffic and
-// merge/hash interleaving, chunk=16 is a mid-grain, chunk >= pages_per_wake
-// degenerates to one chunk (barrier-like), chunk=0 is the auto heuristic.
-TEST_P(ScanThreadsParityTest, StreamingAndBarrierPipelinesAreBitIdentical) {
-  const ThreadedParam param = GetParam();
-  const ThreadedResult reference =
-      RunThreadedScenario(param.kind, param.seed, 1, /*streaming=*/false);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    // Barrier shape at this thread count.
-    ExpectThreadedResultsEqual(
-        reference, RunThreadedScenario(param.kind, param.seed, threads, false),
-        "barrier threads=" + std::to_string(threads));
-    // Streaming shape across chunk sizes (256 = pages_per_wake: whole quantum).
-    for (const std::size_t chunk :
-         {std::size_t{1}, std::size_t{16}, std::size_t{256}, std::size_t{0}}) {
+  for (const std::size_t pages_per_wake : {std::size_t{256}, std::size_t{7}}) {
+    const ThreadedResult serial = RunThreadedScenario(param.kind, param.seed, 1, pages_per_wake);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
       ExpectThreadedResultsEqual(
-          reference, RunThreadedScenario(param.kind, param.seed, threads, true, chunk),
-          "streaming threads=" + std::to_string(threads) +
-              " chunk=" + std::to_string(chunk));
+          serial, RunThreadedScenario(param.kind, param.seed, threads, pages_per_wake),
+          "threads=" + std::to_string(threads) +
+              " pages_per_wake=" + std::to_string(pages_per_wake));
     }
+    // The scenario must exercise fusion and unmerge churn, not compare no-ops.
+    EXPECT_GT(serial.base.merges + serial.base.fake_merges, 0u) << pages_per_wake;
+    EXPECT_GT(serial.trace.size(), 0u) << pages_per_wake;
   }
 }
 
@@ -539,6 +501,23 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name + "_s" + std::to_string(info.param.seed);
     });
+
+// VUSION_SCAN_THREADS takes a positive count up to ThreadPool::kMaxThreads and
+// ignores anything else. Only the config is touched: no engine, no pool.
+TEST(ScanThreadsEnvTest, OverrideIgnoresCountsPastTheLimit) {
+  FusionConfig config;
+  config.scan_threads = 3;
+  setenv("VUSION_SCAN_THREADS", "1000000", 1);
+  config.ApplyEnvOverrides();
+  EXPECT_EQ(config.scan_threads, 3u);
+  setenv("VUSION_SCAN_THREADS", "0", 1);
+  config.ApplyEnvOverrides();
+  EXPECT_EQ(config.scan_threads, 3u);
+  setenv("VUSION_SCAN_THREADS", "256", 1);
+  config.ApplyEnvOverrides();
+  EXPECT_EQ(config.scan_threads, host::ThreadPool::kMaxThreads);
+  unsetenv("VUSION_SCAN_THREADS");
+}
 
 // Savings comparison: with heavy duplication, every fusing engine must save a
 // significant fraction, and VUsion's savings must be in the same ballpark as KSM's

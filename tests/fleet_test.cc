@@ -48,11 +48,9 @@ struct MachineResult {
 
 std::vector<MachineResult> RunFleet(std::size_t fleet_threads, std::size_t scan_threads,
                                     bool chaos_in_machine0 = false,
-                                    bool scan_streaming = true,
-                                    std::size_t scan_chunk_pages = 0) {
+                                    std::size_t pages_per_wake = 256) {
   fleet::FleetConfig config = SmallFleetConfig(fleet_threads, scan_threads);
-  config.scenario.fusion.scan_streaming = scan_streaming;
-  config.scenario.fusion.scan_chunk_pages = scan_chunk_pages;
+  config.scenario.fusion.pages_per_wake = pages_per_wake;
   fleet::Fleet fleet(config);
   for (std::size_t m = 0; m < fleet.size(); ++m) {
     fleet.member(m).machine().trace().set_enabled(true);
@@ -106,8 +104,6 @@ class FleetParityTest : public ::testing::Test {
   void SetUp() override {
     unsetenv("VUSION_FLEET_THREADS");
     unsetenv("VUSION_SCAN_THREADS");
-    unsetenv("VUSION_SCAN_STREAMING");
-    unsetenv("VUSION_SCAN_CHUNK");
   }
 };
 
@@ -141,33 +137,25 @@ TEST_F(FleetParityTest, ParallelSteppingIsBitIdenticalToSerial) {
 }
 
 TEST_F(FleetParityTest, StreamingScanCellsBitIdenticalToSerial) {
-  // A multi-threaded fleet installs its shared pool into every member Machine,
-  // so even scan_threads=1 members hash through the decoupled stream while the
-  // merge (and sibling stepping) proceeds. Every streaming/chunk cell must be
-  // bit-identical to the single-threaded serial reference.
-  const std::vector<MachineResult> reference = RunFleet(1, 1);
+  // Members with scan_threads > 1 stream their scans through their own
+  // Machine's pool while the fleet pool steps Machines. A quantum of at most 7
+  // pages streams in 1-page chunks, the most interleaved stream (256-page
+  // quanta are covered by ParallelSteppingIsBitIdenticalToSerial). Every cell
+  // must be bit-identical to the single-threaded serial reference.
+  constexpr std::size_t kSmallQuantum = 7;
+  const std::vector<MachineResult> reference = RunFleet(1, 1, false, kSmallQuantum);
   struct Cell {
     std::size_t fleet_threads, scan_threads;
-    bool streaming;
-    std::size_t chunk;
   };
-  const Cell cells[] = {
-      {8, 1, true, 1},   // fleet pool drives streaming despite scan_threads=1
-      {2, 4, true, 1},   // max handoff traffic
-      {8, 4, true, 0},   // auto chunk
-      {8, 4, false, 0},  // barrier shape under the shared fleet pool
-  };
-  for (const Cell& cell : cells) {
+  for (const Cell& cell : {Cell{2, 4}, Cell{8, 2}, Cell{8, 4}}) {
     const std::vector<MachineResult> run =
-        RunFleet(cell.fleet_threads, cell.scan_threads, false, cell.streaming, cell.chunk);
+        RunFleet(cell.fleet_threads, cell.scan_threads, false, kSmallQuantum);
     ASSERT_EQ(run.size(), reference.size());
     for (std::size_t m = 0; m < reference.size(); ++m) {
-      ExpectMachineResultsEqual(
-          reference[m], run[m],
-          "machine " + std::to_string(m) + " fleet_threads=" +
-              std::to_string(cell.fleet_threads) + " scan_threads=" +
-              std::to_string(cell.scan_threads) + (cell.streaming ? " streaming" : " barrier") +
-              " chunk=" + std::to_string(cell.chunk));
+      ExpectMachineResultsEqual(reference[m], run[m],
+                                "machine " + std::to_string(m) + " fleet_threads=" +
+                                    std::to_string(cell.fleet_threads) + " scan_threads=" +
+                                    std::to_string(cell.scan_threads));
     }
   }
 }
@@ -210,6 +198,9 @@ TEST_F(FleetParityTest, EnvOverrideSetsHostThreads) {
   unsetenv("VUSION_FLEET_THREADS");
   config.ApplyEnvOverrides();
   EXPECT_EQ(config.host_threads, 4u);  // absent: unchanged
+  setenv("VUSION_FLEET_THREADS", "1000000", 1);
+  config.ApplyEnvOverrides();
+  EXPECT_EQ(config.host_threads, 4u);  // past ThreadPool::kMaxThreads: ignored
 
   // The constructor applies the environment itself (the CI hook: the TSan job
   // exports VUSION_FLEET_THREADS=4 to step every fleet in the suite threaded).

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/fusion/engine_factory.h"
+#include "src/host/thread_pool.h"
 #include "src/kernel/process.h"
 #include "src/sim/latency_model.h"
 #include "src/snapshot/config_codec.h"
@@ -198,7 +199,7 @@ TEST_F(SnapshotCorruptionTest, PayloadBitFlipsNameTheDamagedSection) {
 }
 
 // Any version but kVersion fails closed, naming the version it carries: a
-// future one, or the previous format (v2), for which there is no reader.
+// future one, or the previous format (v3), for which there is no reader.
 TEST_F(SnapshotCorruptionTest, FutureVersionRejected) {
   for (const std::uint32_t version : {snapshot::kVersion + 1, snapshot::kVersion - 1}) {
     std::string buffer = image();
@@ -263,6 +264,23 @@ TEST_F(SnapshotCorruptionTest, FrameCountPastCacheKeysBehindValidChecksumRejecte
   } catch (const snapshot::RestoreError& e) {
     EXPECT_EQ(e.section(), "config");
     EXPECT_NE(std::string(e.what()).find("key"), std::string::npos) << e.what();
+  }
+}
+
+TEST_F(SnapshotCorruptionTest, HugeScanThreadsBehindValidChecksumRejected) {
+  const snapshot::SnapshotInfo info = snapshot::InspectSnapshot(image());
+  const auto& config = info.sections.front();
+  ASSERT_EQ(config.name, "config");
+  // scan_threads follows wake_period and pages_per_wake (two U64s) in the
+  // FusionConfig record at the end of the "config" payload. The decoder must
+  // refuse a count past ThreadPool::kMaxThreads before any engine is built, so
+  // the restore starts no thread.
+  const std::size_t threads_delta = config.size - FusionConfigRecordBytes() + 16;
+  ASSERT_EQ(ReadLe(image(), config.offset + threads_delta, 8), 1u);
+  for (const std::uint64_t threads :
+       {std::uint64_t{1} << 40, std::uint64_t{host::ThreadPool::kMaxThreads + 1}}) {
+    ExpectRestoreError(PatchSealedLe(image(), config, threads_delta, threads, 8), "config",
+                       "scan_threads = " + std::to_string(threads));
   }
 }
 

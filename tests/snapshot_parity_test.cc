@@ -2,11 +2,12 @@
 // into a brand-new (Machine, engine) pair, and continuing the workload must be
 // bit-identical — stats, traces, timestamps, RNG streams — to never having
 // stopped. Checked as byte equality of the final snapshots across every engine
-// × scan-thread × pipeline-shape cell, plus restore→immediate-resave idempotence
+// × scan-thread × scan-quantum cell, plus restore→immediate-resave idempotence
 // and fork-style fan-out divergence-only-through-inputs.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,22 +25,27 @@ constexpr std::uint64_t kPhase1Seed = 1111;
 constexpr std::uint64_t kPhase2Seed = 2222;
 constexpr int kPhaseSteps = 300;
 
+// A scan quantum of at most this many pages streams in 1-page chunks.
+constexpr std::size_t kChunkOneQuantum = 7;
+
 struct Cell {
   EngineKind kind;
   std::size_t threads;
-  // Scan pipeline shape (scan_streaming defaults on in FusionConfig, so the
-  // plain cells already stream; the shape cells make it explicit).
-  bool streaming = true;
-  std::size_t chunk_pages = 0;
+  std::size_t pages_per_wake = 256;
+  // Unused. gtest prints the parameter's size into each test name, and this
+  // keeps the cell at the 32 bytes it had while the scan-pipeline shape was a
+  // matrix axis, so the cells keep their test names.
+  std::uint64_t reserved = 0;
 };
+static_assert(sizeof(Cell) == 32);
 
-// The "DeltaOff" infix is kept from when delta scanning was a matrix axis, so
+// The "DeltaOff" infix is kept from when delta scanning was a matrix axis, and
+// the "C1" suffix (1-page hash chunks) from when the chunk size was a knob, so
 // the cells keep their test names.
 std::string CellName(const ::testing::TestParamInfo<Cell>& info) {
   return std::string(EngineKindName(info.param.kind)) + "T" +
          std::to_string(info.param.threads) + "DeltaOff" +
-         (info.param.streaming ? "" : "Barrier") +
-         (info.param.chunk_pages != 0 ? "C" + std::to_string(info.param.chunk_pages) : "");
+         (info.param.pages_per_wake <= kChunkOneQuantum ? "C1" : "");
 }
 
 MachineConfig MakeMachineConfig() {
@@ -52,12 +58,10 @@ MachineConfig MakeMachineConfig() {
 FusionConfig MakeFusionConfig(const Cell& cell) {
   FusionConfig config;
   config.wake_period = 1 * kMillisecond;
-  config.pages_per_wake = 256;
+  config.pages_per_wake = cell.pages_per_wake;
   config.pool_frames = 1024;
   config.wpf_period = 10 * kMillisecond;
   config.scan_threads = cell.threads;
-  config.scan_streaming = cell.streaming;
-  config.scan_chunk_pages = cell.chunk_pages;
   return config;
 }
 
@@ -216,39 +220,33 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Cell{EngineKind::kKsm, 1}, Cell{EngineKind::kKsm, 4},
                       Cell{EngineKind::kWpf, 1}, Cell{EngineKind::kWpf, 4},
                       Cell{EngineKind::kVUsion, 1}, Cell{EngineKind::kVUsion, 4},
-                      // Explicit pipeline shapes: barrier, and streaming at the
-                      // maximally-interleaved chunk size.
-                      Cell{EngineKind::kKsm, 4, false, 0},
-                      Cell{EngineKind::kKsm, 4, true, 1},
-                      Cell{EngineKind::kVUsion, 4, false, 0},
-                      Cell{EngineKind::kVUsion, 4, true, 1},
-                      Cell{EngineKind::kWpf, 4, true, 1}),
+                      // Streaming at the most interleaved chunk size. (WPF's
+                      // batch is a whole pass, whatever the quantum.)
+                      Cell{EngineKind::kKsm, 4, kChunkOneQuantum},
+                      Cell{EngineKind::kVUsion, 4, kChunkOneQuantum}),
     CellName);
 
 // The determinism fence (DESIGN.md §14): hash-memo validity is serialized in
-// snapshots, so the streaming pipeline must leave EXACTLY the memo state the
-// barrier shape leaves at the same config — a speculative snapshot taken at
-// any generation other than the recorded pre-merge one is dropped, never
-// installed, no matter how the worker/merge interleaving fell. (Memo COVERAGE
-// may legitimately differ between the serial path and the pipelined path —
-// phase 1 primes pages the serial body skips before hashing — which is fine:
-// savestate determinism is per config.) Checked as byte equality of every
-// snapshot section except "config" (which records the shape knobs themselves)
-// between barrier and chunk=1 streaming runs of the same campaign.
+// snapshots, so the installed-memo set must depend only on config and
+// simulated state — a speculative snapshot taken at any generation other than
+// the recorded pre-merge one is dropped, never installed, no matter how the
+// worker/merge interleaving fell. (Memo COVERAGE may legitimately differ
+// between the serial path and the pipeline — the pipeline primes pages the
+// serial body skips before hashing — which is fine: savestate determinism is
+// per config.) Checked as byte equality of every snapshot section except
+// "config" (which records the thread count itself) between 2- and 8-thread
+// runs of the same campaign, at 32-page and at 1-page hash chunks.
 TEST(SnapshotParityTest, StreamingShapeDoesNotLeakIntoSnapshotBytes) {
-  const auto save_with = [](bool streaming, std::size_t chunk) {
-    Cell cell{EngineKind::kKsm, 4, streaming, chunk};
+  const auto sections_except_config = [](std::size_t threads, std::size_t pages_per_wake) {
+    const Cell cell{EngineKind::kKsm, threads, pages_per_wake};
     Machine machine(MakeMachineConfig());
     std::unique_ptr<FusionEngine> engine =
         MakeEngineExact(cell.kind, machine, MakeFusionConfig(cell));
     engine->Install();
     const std::vector<VirtAddr> bases = SetupProcesses(machine);
     RunPhase(machine, bases, kPhase1Seed);
-    std::string image = snapshot::SaveSnapshot(machine, engine.get(), cell.kind);
+    const std::string image = snapshot::SaveSnapshot(machine, engine.get(), cell.kind);
     engine->Uninstall();
-    return image;
-  };
-  const auto sections_except_config = [](const std::string& image) {
     std::vector<std::pair<std::string, std::string>> out;
     for (const auto& s : snapshot::InspectSnapshot(image).sections) {
       if (s.name != "config") {
@@ -257,15 +255,15 @@ TEST(SnapshotParityTest, StreamingShapeDoesNotLeakIntoSnapshotBytes) {
     }
     return out;
   };
-  const auto barrier = sections_except_config(save_with(false, 0));
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-    const auto streamed = sections_except_config(save_with(true, chunk));
-    ASSERT_EQ(barrier.size(), streamed.size());
-    for (std::size_t i = 0; i < barrier.size(); ++i) {
-      EXPECT_EQ(barrier[i].first, streamed[i].first);
-      EXPECT_TRUE(barrier[i].second == streamed[i].second)
-          << "streaming (chunk=" << chunk << ") diverged in section '"
-          << barrier[i].first << "'";
+  for (const std::size_t pages_per_wake : {std::size_t{256}, kChunkOneQuantum}) {
+    const auto two = sections_except_config(2, pages_per_wake);
+    const auto eight = sections_except_config(8, pages_per_wake);
+    ASSERT_EQ(two.size(), eight.size());
+    for (std::size_t i = 0; i < two.size(); ++i) {
+      EXPECT_EQ(two[i].first, eight[i].first);
+      EXPECT_TRUE(two[i].second == eight[i].second)
+          << "threads 2 vs 8 (pages_per_wake=" << pages_per_wake << ") diverged in section '"
+          << two[i].first << "'";
     }
   }
 }

@@ -1,8 +1,9 @@
 // VM teardown at every scan phase boundary: a phase hook destroys a forked
 // child exactly when the engine announces the target phase, for each engine
-// and for both the serial and pipelined scan paths. The engine must drop the
+// and for both the serial and streaming scan paths. The engine must drop the
 // dead process's pages without touching freed state, keep its trees and rmaps
-// consistent (machine-wide audit), and keep serving the survivors.
+// consistent (machine-wide audit), and keep serving the survivors. A phase
+// the engine's scan path does not announce must never reach the hook.
 
 #include <gtest/gtest.h>
 
@@ -24,8 +25,6 @@ class TeardownMidScanTest : public ::testing::TestWithParam<TeardownParam> {
  protected:
   void SetUp() override {
     unsetenv("VUSION_SCAN_THREADS");
-    unsetenv("VUSION_SCAN_STREAMING");
-    unsetenv("VUSION_SCAN_CHUNK");
   }
 };
 
@@ -85,14 +84,17 @@ TEST_P(TeardownMidScanTest, EngineSurvivesTeardownAtPhaseBoundary) {
   engine->SetPhaseHook(nullptr);
   machine.Idle(20 * kMillisecond);
 
-  // kBatchCollected/kHashed only exist on paths that batch: WPF always does,
-  // KSM and VUsion only when the scan pipeline is enabled.
-  const bool phase_emitted = target_phase == ScanPhase::kQuantumStart ||
-                             target_phase == ScanPhase::kQuantumEnd ||
-                             kind == EngineKind::kWpf || threads > 1;
+  // WPF announces every phase. KSM and VUsion announce kBatchCollected only
+  // on the streaming path (threads > 1), and never kHashed: they hash while
+  // they merge.
+  const bool phase_emitted =
+      target_phase == ScanPhase::kQuantumStart || target_phase == ScanPhase::kQuantumEnd ||
+      kind == EngineKind::kWpf || (target_phase == ScanPhase::kBatchCollected && threads > 1);
   if (phase_emitted) {
     EXPECT_GT(phase_hits, 0u) << ScanPhaseName(target_phase);
     EXPECT_GT(teardowns, 0u);
+  } else {
+    EXPECT_EQ(phase_hits, 0u) << ScanPhaseName(target_phase);
   }
 
   // Survivors keep full read/write service after every mid-scan teardown.

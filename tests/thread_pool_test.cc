@@ -1,5 +1,6 @@
-// host::ThreadPool unit tests: chunk dispatch must cover [0, count) exactly once
-// for every boundary shape, and worker exceptions must surface on the caller.
+// host::ThreadPool unit tests: streamed chunk dispatch and striped tasks must
+// cover [0, count) exactly once for every boundary shape, and worker exceptions
+// must surface on the caller.
 
 #include <gtest/gtest.h>
 
@@ -20,15 +21,37 @@ std::vector<std::atomic<int>> MakeCounters(std::size_t count) {
   return std::vector<std::atomic<int>>(count);
 }
 
+// Drains a stream from the consumer side the way the scan pipeline does:
+// help-first, then consume whatever prefix is ready. Returns the item count
+// observed via StreamReadyItems (must end at count).
+std::size_t DrainStream(ThreadPool& pool, ThreadPool::Stream* stream, std::size_t count) {
+  std::size_t ready = 0;
+  while (ready < count) {
+    const std::size_t now = pool.StreamReadyItems(stream);
+    EXPECT_GE(now, ready) << "ready-item count went backwards";
+    ready = now;
+    if (ready < count && !pool.HelpStream(stream)) {
+      std::this_thread::yield();
+    }
+  }
+  return ready;
+}
+
+// Streams [0, count) in grain-sized chunks, drains and joins the stream, and
+// checks every index ran exactly once.
 void ExpectExactCoverage(ThreadPool& pool, std::size_t count, std::size_t grain) {
   auto counters = MakeCounters(count);
-  pool.ParallelFor(count, grain, [&](std::size_t begin, std::size_t end) {
+  // Named lvalue: Body is non-owning and the stream outlives this statement.
+  const auto mark = [&](std::size_t begin, std::size_t end) {
     ASSERT_LE(begin, end);
     ASSERT_LE(end, count);
     for (std::size_t i = begin; i < end; ++i) {
       counters[i].fetch_add(1, std::memory_order_relaxed);
     }
-  });
+  };
+  ThreadPool::Stream* stream = pool.BeginStream(count, grain, mark);
+  EXPECT_EQ(DrainStream(pool, stream, count), count);
+  pool.JoinStream(stream);
   for (std::size_t i = 0; i < count; ++i) {
     EXPECT_EQ(counters[i].load(), 1) << "index " << i << " count=" << count
                                      << " grain=" << grain;
@@ -37,24 +60,31 @@ void ExpectExactCoverage(ThreadPool& pool, std::size_t count, std::size_t grain)
 
 TEST(ThreadPoolTest, ZeroItemsRunsNoBody) {
   ThreadPool pool(4);
-  int calls = 0;
-  pool.ParallelFor(0, 0, [&](std::size_t, std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
+  std::atomic<int> calls{0};
+  const auto count_call = [&](std::size_t, std::size_t) { ++calls; };
+  ThreadPool::Stream* stream = pool.BeginStream(0, 1, count_call);
+  EXPECT_EQ(pool.StreamReadyItems(stream), 0u);
+  EXPECT_FALSE(pool.HelpStream(stream));
+  pool.JoinStream(stream);
+  pool.ParallelTasks(0, count_call);
+  EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ThreadPoolTest, FewerItemsThanWorkers) {
   ThreadPool pool(8);
   ExpectExactCoverage(pool, 3, 1);
+  ExpectExactCoverage(pool, 1, 1);
 }
 
 TEST(ThreadPoolTest, NonDivisibleChunkSizes) {
   ThreadPool pool(4);
   // 17 items in chunks of 5: 5+5+5+2.
   ExpectExactCoverage(pool, 17, 5);
-  // Grain larger than the count collapses to one inline chunk.
+  // Grain larger than the count: one chunk.
   ExpectExactCoverage(pool, 7, 64);
-  // Auto grain.
-  ExpectExactCoverage(pool, 1000, 0);
+  // Grain 0 maps to 1.
+  ExpectExactCoverage(pool, 9, 0);
+  ExpectExactCoverage(pool, 1000, 32);
 }
 
 TEST(ThreadPoolTest, SingleThreadedPoolRunsInline) {
@@ -63,20 +93,25 @@ TEST(ThreadPoolTest, SingleThreadedPoolRunsInline) {
   ExpectExactCoverage(pool, 100, 7);
 }
 
+TEST(ThreadPoolTest, RejectsThreadCountsPastTheLimit) {
+  // The check runs before any worker is spawned, so this starts no thread.
+  EXPECT_THROW(ThreadPool pool(ThreadPool::kMaxThreads + 1), std::invalid_argument);
+}
+
 TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
   ThreadPool pool(4);
   auto counters = MakeCounters(64);
-  EXPECT_THROW(
-      pool.ParallelFor(64, 4,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           counters[i].fetch_add(1, std::memory_order_relaxed);
-                         }
-                         if (begin <= 29 && 29 < end) {
-                           throw std::runtime_error("chunk failed");
-                         }
-                       }),
-      std::runtime_error);
+  const auto mark_and_fail = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      counters[i].fetch_add(1, std::memory_order_relaxed);
+    }
+    if (begin <= 29 && 29 < end) {
+      throw std::runtime_error("chunk failed");
+    }
+  };
+  // JoinStream alone drains the stream on the caller and rethrows.
+  ThreadPool::Stream* stream = pool.BeginStream(64, 4, mark_and_fail);
+  EXPECT_THROW(pool.JoinStream(stream), std::runtime_error);
   // A chunk failure does not kill the batch: every index was still visited once.
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_EQ(counters[i].load(), 1) << "index " << i;
@@ -88,14 +123,16 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
 TEST(ThreadPoolTest, RepeatedBatchesAccumulate) {
   ThreadPool pool(4);
   std::atomic<std::uint64_t> sum{0};
+  const auto add = [&](std::size_t begin, std::size_t end) {
+    std::uint64_t local = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      local += i;
+    }
+    sum.fetch_add(local, std::memory_order_relaxed);
+  };
   for (int batch = 0; batch < 200; ++batch) {
-    pool.ParallelFor(100, 9, [&](std::size_t begin, std::size_t end) {
-      std::uint64_t local = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        local += i;
-      }
-      sum.fetch_add(local, std::memory_order_relaxed);
-    });
+    ThreadPool::Stream* stream = pool.BeginStream(100, 9, add);
+    pool.JoinStream(stream);
   }
   EXPECT_EQ(sum.load(), 200ull * (99ull * 100ull / 2));
 }
@@ -141,22 +178,6 @@ TEST(ThreadPoolTest, ParallelTasksPropagatesExceptionAndStaysUsable) {
 
 // --- Streaming dispatch: BeginStream / StreamReadyItems / HelpStream / Join ---
 
-// Drains a stream from the consumer side the way the scan pipeline does:
-// help-first, then consume whatever prefix is ready. Returns the item count
-// observed via StreamReadyItems (must end at count).
-std::size_t DrainStream(ThreadPool& pool, ThreadPool::Stream* stream, std::size_t count) {
-  std::size_t ready = 0;
-  while (ready < count) {
-    const std::size_t now = pool.StreamReadyItems(stream);
-    EXPECT_GE(now, ready) << "ready-item count went backwards";
-    ready = now;
-    if (ready < count && !pool.HelpStream(stream)) {
-      std::this_thread::yield();
-    }
-  }
-  return ready;
-}
-
 TEST(ThreadPoolTest, StreamCompletesInTicketOrderWithExactCoverage) {
   ThreadPool pool(4);
   constexpr std::size_t kCount = 257;  // non-divisible by the grain
@@ -181,7 +202,7 @@ TEST(ThreadPoolTest, StreamCompletesInTicketOrderWithExactCoverage) {
 TEST(ThreadPoolTest, ConsumerHelpCompletesStreamWithNoWorkers) {
   // A single-thread pool has no workers at all: the stream makes progress only
   // through the consumer's HelpStream calls (the scan pipeline's help-first
-  // loop relies on this so streaming never deadlocks at scan_threads=1).
+  // loop relies on this so streaming never deadlocks when every worker is busy).
   ThreadPool pool(1);
   constexpr std::size_t kCount = 40;
   auto counters = MakeCounters(kCount);
@@ -228,8 +249,8 @@ TEST(ThreadPoolTest, StreamExceptionSurfacesAtJoinAndPrefixStillAdvances) {
 }
 
 TEST(ThreadPoolTest, NestedStreamInsideParallelTasks) {
-  // The fleet shape: striped step tasks each open, help, and join their own
-  // stream on the shared pool. Progress must not depend on free workers.
+  // Striped tasks each open, help, and join their own stream on the same
+  // pool. Progress must not depend on free workers.
   ThreadPool pool(4);
   constexpr std::size_t kTasks = 8;
   constexpr std::size_t kItems = 33;
@@ -256,8 +277,8 @@ TEST(ThreadPoolTest, NestedStreamInsideParallelTasks) {
 }
 
 TEST(ThreadPoolTest, ConcurrentStreamsDrainIndependently) {
-  // Two streams live at once (two fleet Machines hashing concurrently): each
-  // consumer sees only its own stream's completion prefix.
+  // Two streams live at once: each consumer sees only its own stream's
+  // completion prefix.
   ThreadPool pool(4);
   constexpr std::size_t kCount = 96;
   auto a = MakeCounters(kCount);
@@ -285,15 +306,17 @@ TEST(ThreadPoolTest, ConcurrentStreamsDrainIndependently) {
 }
 
 TEST(ThreadPoolTest, AlternatingDispatchModesReuseTheBarrier) {
-  // The generation-keyed barrier and fixed batch state are shared by both
-  // dispatch modes; interleaving them at a high rate must neither deadlock nor
-  // lose work.
+  // Streams and striped tasks share the stream records and the free list;
+  // interleaving them at a high rate must neither deadlock nor lose work.
   ThreadPool pool(4);
   std::atomic<std::uint64_t> sum{0};
+  const auto add_span = [&](std::size_t begin, std::size_t end) {
+    sum.fetch_add(end - begin, std::memory_order_relaxed);
+  };
   for (int batch = 0; batch < 100; ++batch) {
-    pool.ParallelFor(37, 5, [&](std::size_t begin, std::size_t end) {
-      sum.fetch_add(end - begin, std::memory_order_relaxed);
-    });
+    ThreadPool::Stream* stream = pool.BeginStream(37, 5, add_span);
+    DrainStream(pool, stream, 37);
+    pool.JoinStream(stream);
     pool.ParallelTasks(11, [&](std::size_t, std::size_t) {
       sum.fetch_add(1, std::memory_order_relaxed);
     });

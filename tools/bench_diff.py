@@ -18,7 +18,6 @@ Rows are matched by table-specific key fields:
     speedup           keyed by (engine)
     parallel_speedup  keyed by (engine, threads)
     fleet_speedup     keyed by (threads)
-    streaming_speedup keyed by (engine, threads); only "speedup" is judged
     headlines         keyed by (name)
 
 Headline "target" fields are informational (the bench binary already prints
@@ -40,21 +39,10 @@ RATIO_TABLES = {
     "speedup": ("engine",),
     "parallel_speedup": ("engine", "threads"),
     "fleet_speedup": ("threads",),
-    "streaming_speedup": ("engine", "threads"),
     "headlines": ("name",),
 }
 
 SKIPPED_FIELDS = {"target"}
-
-# Tables whose rows mix the judged ratio with context columns (absolute wall
-# seconds, speculative-hash counters) that are machine- and
-# interleaving-dependent: only the listed fields are compared. The host and
-# fleet artifacts share the streaming_speedup table name with different key
-# columns; the fleet rows simply have no "engine" field, which still keys
-# uniquely.
-COMPARED_FIELDS = {
-    "streaming_speedup": {"speedup"},
-}
 
 
 def load_artifact(path):
@@ -72,14 +60,12 @@ def row_key(row, key_fields):
     return tuple(row.get(field) for field in key_fields)
 
 
-def numeric_fields(table, row, key_fields):
-    compared = COMPARED_FIELDS.get(table)
+def numeric_fields(row, key_fields):
     return {
         name: value
         for name, value in row.items()
         if name not in key_fields
         and name not in SKIPPED_FIELDS
-        and (compared is None or name in compared)
         and isinstance(value, numbers.Number)
         and not isinstance(value, bool)
     }
@@ -100,7 +86,7 @@ def diff_table(name, key_fields, base_rows, cand_rows, regress_pct):
             regressions += 1
             lines.append(f"REGRESS {name}[{label}]: row missing from candidate")
             continue
-        for field, base_value in numeric_fields(name, base_row, key_fields).items():
+        for field, base_value in numeric_fields(base_row, key_fields).items():
             cand_value = cand_row.get(field)
             if not isinstance(cand_value, numbers.Number) or isinstance(cand_value, bool):
                 regressions += 1

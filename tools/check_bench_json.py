@@ -22,12 +22,11 @@ additionally carry "count", "sum", "bounds", and "buckets"
 (len(buckets) == len(bounds) + 1).
 
 The fleet artifact (bench == "fleet_throughput") gets extra structural checks:
-its fleet_speedup/streaming_speedup/conflict_rate/headlines/footprint tables
-must be present and well-formed, and every entry of the fleet metrics rollup
-must carry a "machine" label. The host artifact (bench == "host_throughput")
-must carry the pipeline-overlap columns in every threads_sweep row
-(phase1_cpu/phase1_wall/merge_wall seconds, overlap_efficiency, speculative
-conflict counters) plus a well-formed streaming_speedup table.
+its fleet_speedup/headlines/footprint tables must be present and well-formed,
+and every entry of the fleet metrics rollup must carry a "machine" label. The
+host artifact (bench == "host_throughput") must carry the pipeline-overlap
+columns in every threads_sweep row (phase1_cpu/phase1_wall/merge_wall
+seconds, overlap_efficiency, speculative conflict counters).
 
 Usage: check_bench_json.py FILE [FILE...]
 Exits non-zero on the first malformed artifact.
@@ -129,9 +128,9 @@ def check_artifact(path):
         check_snapshot_artifact(doc, path)
 
 
-# Overlap accounting emitted per threads_sweep row by the decoupled streaming
-# pipeline (ScanTiming: DESIGN.md §14); overlap_efficiency is the fraction of
-# the serial phase-1 + merge span hidden by running them concurrently.
+# Overlap accounting emitted per threads_sweep row by the streaming pipeline
+# (ScanTiming: DESIGN.md §14); overlap_efficiency is the fraction of the
+# serial phase-1 + merge span hidden by running them concurrently.
 OVERLAP_FIELDS = (
     "phase1_cpu_seconds",
     "phase1_wall_seconds",
@@ -139,29 +138,14 @@ OVERLAP_FIELDS = (
     "overlap_efficiency",
     "speculative_hashes",
     "speculative_stale",
-    "streamed_batches",
 )
-
-
-def check_streaming_speedup_table(rows, path, key_field):
-    for i, row in enumerate(rows):
-        prefix = f"{path}[{i}]"
-        expect(isinstance(row.get(key_field), (str, numbers.Number)), prefix,
-               f"missing key field {key_field!r}")
-        for field in ("threads", "speedup", "speculative_hashes", "speculative_stale"):
-            if field in row:
-                expect(isinstance(row[field], numbers.Number), prefix,
-                       f"{field!r} must be numeric")
-        expect(isinstance(row.get("speedup"), numbers.Number), prefix,
-               "missing numeric 'speedup'")
 
 
 def check_host_artifact(doc, path):
     """Host-throughput shape: the streaming pipeline's overlap columns must be
-    present and numeric in every thread-sweep row, and the barrier-vs-streaming
-    comparison table must exist with a numeric speedup per engine."""
+    present and numeric in every thread-sweep row."""
     tables = doc["tables"]
-    for name in ("runs", "speedup", "threads_sweep", "streaming_speedup", "headlines"):
+    for name in ("runs", "speedup", "threads_sweep", "headlines"):
         expect(name in tables and tables[name], f"{path}.tables",
                f"host artifact missing table {name!r}")
     for i, row in enumerate(tables["threads_sweep"]):
@@ -174,32 +158,19 @@ def check_host_artifact(doc, path):
                f"overlap_efficiency {eff!r} outside [0, 1]")
         expect(row["speculative_stale"] <= row["speculative_hashes"], prefix,
                "speculative_stale exceeds speculative_hashes")
-    check_streaming_speedup_table(tables["streaming_speedup"],
-                                  f"{path}.tables.streaming_speedup", "engine")
 
 
 def check_fleet_artifact(doc, path):
     """Fleet-specific shape: the tables the regression gate diffs must exist,
     and the metrics rollup must be machine-labeled (Fleet::CollectMetrics)."""
     tables = doc["tables"]
-    for name in ("runs", "fleet_speedup", "streaming_speedup", "conflict_rate",
-                 "headlines", "footprint", "machine_variance"):
+    for name in ("runs", "fleet_speedup", "headlines", "footprint", "machine_variance"):
         expect(name in tables and tables[name], f"{path}.tables", f"fleet artifact missing table {name!r}")
     for i, row in enumerate(tables["fleet_speedup"]):
         expect(isinstance(row.get("threads"), numbers.Number), f"{path}.tables.fleet_speedup[{i}]",
                "missing numeric 'threads'")
         expect(isinstance(row.get("speedup"), numbers.Number), f"{path}.tables.fleet_speedup[{i}]",
                "missing numeric 'speedup'")
-    check_streaming_speedup_table(tables["streaming_speedup"],
-                                  f"{path}.tables.streaming_speedup", "threads")
-    for i, row in enumerate(tables["conflict_rate"]):
-        prefix = f"{path}.tables.conflict_rate[{i}]"
-        for field in ("machine", "speculative_hashes", "speculative_stale",
-                      "stale_rate", "merges"):
-            expect(isinstance(row.get(field), numbers.Number), prefix,
-                   f"missing numeric {field!r}")
-        expect(0.0 <= row["stale_rate"] <= 1.0, prefix,
-               f"stale_rate {row['stale_rate']!r} outside [0, 1]")
     footprint = tables["footprint"][0]
     for field in ("machines", "total_bytes", "mean_machine_bytes", "max_machine_bytes",
                   "template_bytes"):
