@@ -1,9 +1,7 @@
 // Host (wall-clock) scan throughput. Two experiments, one JSON:
 //
-// 1. Two scan modes on the diverse-VM scenario, best-of-N wall time per
-//    (engine, mode) so scheduler jitter cannot invert the ratio:
-//      byte-ordered — the ablation (FusionConfig::byte_ordered_trees);
-//      fingerprint  — fingerprint-ordered trees (the default).
+// 1. Per-engine scan throughput on the diverse-VM scenario, best-of-N wall
+//    time per engine so scheduler jitter does not set the number.
 //
 // 2. A --threads sweep (default 1,2,4,8) of the streaming scan pipeline
 //    (FusionConfig::scan_threads) on a churn variant of the same scenario where
@@ -16,7 +14,7 @@
 //    merge consumer hides behind in-flight hash chunks.
 //
 // Both experiments measure the simulator's own cost, not modeled latency:
-// simulated statistics and charged latencies are bit-identical across modes
+// simulated statistics and charged latencies are bit-identical across repeats
 // and thread counts (the bench re-checks this; engine_parity_test proves it).
 // The sweep reports scan-section throughput from ScanTiming::scan_ns, both
 // measured and projected: on hosts with fewer cores than threads the measured
@@ -58,10 +56,10 @@ std::size_t g_churn_steps = 40;
 // Diverse-VM content model: near-duplicate pages. Every page shares one long
 // common prefix (think zeroed-then-initialized structures, common library/page
 // cache contents) and differs only in a trailing 8-byte tag: one quarter are
-// cross-VM duplicate groups (fusable), the rest unique per (vm, page). This is
-// the realistic worst case for byte-ordered trees — every tree comparison scans
-// ~4 KB before the first differing byte — and the best case fingerprints target:
-// one cached-hash integer compare.
+// cross-VM duplicate groups (fusable), the rest unique per (vm, page). A byte
+// comparison of two such pages scans ~4 KB before the first differing byte; the
+// fingerprint-ordered trees settle almost every step with one cached-hash
+// integer compare.
 constexpr std::uint64_t kCommonSeed = 0xc0ffee;
 constexpr std::size_t kTailOffset = kPageSize - 8;
 constexpr std::size_t kDuplicateGroups = 512;
@@ -71,15 +69,6 @@ constexpr std::size_t kDuplicateGroups = 512;
 // all pages — the hash-bound regime the parallel pipeline targets.
 constexpr std::size_t kChurnGuestPages = 2048;
 constexpr SimTime kChurnStepTime = 500 * kMillisecond;
-
-// Experiment-1 scan modes, in run order.
-enum class ScanMode { kByteOrdered, kFingerprint };
-constexpr std::array<ScanMode, 2> kScanModes = {ScanMode::kByteOrdered,
-                                                ScanMode::kFingerprint};
-
-const char* ModeName(ScanMode mode) {
-  return mode == ScanMode::kByteOrdered ? "byte-ordered" : "fingerprint";
-}
 
 struct SimOutcome {
   std::uint64_t pages_scanned = 0;
@@ -91,8 +80,6 @@ struct SimOutcome {
 
 struct RunResult {
   std::string engine;
-  ScanMode mode_kind = ScanMode::kFingerprint;
-  std::string mode;
   SimOutcome sim;
   double wall_seconds = 0.0;
   double pages_per_second = 0.0;
@@ -135,11 +122,9 @@ ScenarioConfig ThroughputScenario(EngineKind kind) {
   return config;
 }
 
-RunResult RunModeOnce(EngineKind kind, ScanMode mode) {
+RunResult RunOnce(EngineKind kind) {
   const auto t0 = std::chrono::steady_clock::now();
-  ScenarioConfig config = ThroughputScenario(kind);
-  config.fusion.byte_ordered_trees = mode == ScanMode::kByteOrdered;
-  Scenario scenario(config);
+  Scenario scenario(ThroughputScenario(kind));
   for (std::size_t p = 0; p < kVms; ++p) {
     Process& vm = scenario.machine().CreateProcess();
     const VirtAddr base =
@@ -161,8 +146,6 @@ RunResult RunModeOnce(EngineKind kind, ScanMode mode) {
 
   RunResult result;
   result.engine = scenario.engine()->name();
-  result.mode_kind = mode;
-  result.mode = ModeName(mode);
   result.sim = CaptureOutcome(scenario);
   result.wall_seconds = std::chrono::duration<double>(t2 - t1).count();
   result.pages_per_second =
@@ -172,24 +155,18 @@ RunResult RunModeOnce(EngineKind kind, ScanMode mode) {
   return result;
 }
 
-// Best-of-g_repeats wall time, with the two modes interleaved (byte, fp, byte,
-// fp, ...) so a slow environmental window penalizes both modes equally instead
-// of whichever happened to run inside it. Simulated outcomes must agree across
-// repeats (the simulator is deterministic); the bench aborts loudly otherwise.
-std::array<RunResult, 2> RunModeSet(EngineKind kind) {
-  std::array<RunResult, 2> best = {RunModeOnce(kind, kScanModes[0]),
-                                   RunModeOnce(kind, kScanModes[1])};
+// Best-of-g_repeats wall time. Simulated outcomes must agree across repeats
+// (the simulator is deterministic); the bench aborts loudly otherwise.
+RunResult RunBest(EngineKind kind) {
+  RunResult best = RunOnce(kind);
   for (int r = 1; r < g_repeats; ++r) {
-    for (RunResult& slot : best) {
-      RunResult next = RunModeOnce(kind, slot.mode_kind);
-      if (!(next.sim == slot.sim)) {
-        std::fprintf(stderr, "FATAL: nondeterministic outcome for %s/%s\n",
-                     next.engine.c_str(), next.mode.c_str());
-        std::exit(1);
-      }
-      if (next.wall_seconds < slot.wall_seconds) {
-        slot = std::move(next);
-      }
+    RunResult next = RunOnce(kind);
+    if (!(next.sim == best.sim)) {
+      std::fprintf(stderr, "FATAL: nondeterministic outcome for %s\n", next.engine.c_str());
+      std::exit(1);
+    }
+    if (next.wall_seconds < best.wall_seconds) {
+      best = std::move(next);
     }
   }
   return best;
@@ -283,8 +260,8 @@ void Run(const std::vector<std::size_t>& thread_counts) {
   const unsigned host_cpus = std::max(1u, std::thread::hardware_concurrency());
   bench::Reporter reporter("host_throughput");
 
-  // --- Experiment 1: byte-ordered vs fingerprint (best-of-N). ---
-  reporter.Header("Host scan throughput: byte-ordered vs fingerprint trees");
+  // --- Experiment 1: per-engine scan throughput (best-of-N). ---
+  reporter.Header("Host scan throughput: diverse-VM scenario");
   {
     Json scenario = Json::Object();
     scenario.Set("vms", kVms);
@@ -296,16 +273,14 @@ void Run(const std::vector<std::size_t>& thread_counts) {
   const std::array<EngineKind, 4> engines = {EngineKind::kKsm, EngineKind::kWpf,
                                              EngineKind::kVUsion, EngineKind::kVUsionThp};
   std::vector<RunResult> results;
-  std::printf("%-12s %-14s %12s %10s %14s %10s\n", "engine", "mode", "scanned", "wall(s)",
-              "pages/s", "e2e(s)");
+  std::printf("%-12s %12s %10s %14s %10s\n", "engine", "scanned", "wall(s)", "pages/s",
+              "e2e(s)");
   for (const EngineKind kind : engines) {
-    std::array<RunResult, 2> set = RunModeSet(kind);
-    for (RunResult& r : set) {
-      std::printf("%-12s %-14s %12llu %10.3f %14.0f %10.3f\n", r.engine.c_str(),
-                  r.mode.c_str(), static_cast<unsigned long long>(r.sim.pages_scanned),
-                  r.wall_seconds, r.pages_per_second, r.end_to_end_seconds);
-      results.push_back(std::move(r));
-    }
+    RunResult r = RunBest(kind);
+    std::printf("%-12s %12llu %10.3f %14.0f %10.3f\n", r.engine.c_str(),
+                static_cast<unsigned long long>(r.sim.pages_scanned), r.wall_seconds,
+                r.pages_per_second, r.end_to_end_seconds);
+    results.push_back(std::move(r));
   }
 
   // --- Experiment 2: scan_threads sweep on the churn scenario. ---
@@ -354,37 +329,14 @@ void Run(const std::vector<std::size_t>& thread_counts) {
   }
   for (const RunResult& r : results) {
     reporter.AddRow("runs", {{"engine", r.engine},
-                             {"mode", r.mode},
                              {"pages_scanned", r.sim.pages_scanned},
                              {"merges", r.sim.merges},
                              {"frames_saved", r.sim.frames_saved},
                              {"wall_seconds", r.wall_seconds},
                              {"pages_per_second", r.pages_per_second},
                              {"end_to_end_seconds", r.end_to_end_seconds}});
-    reporter.AddTiming(r.engine + "/" + r.mode + "_wall", r.wall_seconds * 1e3);
+    reporter.AddTiming(r.engine + "_wall", r.wall_seconds * 1e3);
   }
-  std::printf("\nscan-throughput speedups (fingerprint/byte-ordered, best of %d):\n",
-              g_repeats);
-  double ksm_speedup = 0.0;
-  for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
-    const RunResult& bytes = results[i];
-    const RunResult& hashed = results[i + 1];
-    const double speedup =
-        bytes.pages_per_second > 0 ? hashed.pages_per_second / bytes.pages_per_second : 0.0;
-    if (bytes.engine == "KSM") {
-      ksm_speedup = speedup;
-    }
-    std::printf("  %-12s fingerprint %.2fx\n", bytes.engine.c_str(), speedup);
-    reporter.AddRow("speedup", {{"engine", bytes.engine}, {"speedup", speedup}});
-  }
-  // KSM is the headline: its scan path is pure tree matching. VUsion's scan cost
-  // is dominated by per-round re-randomization (a security feature, identical in
-  // both modes), so its tree ratio stays near 1 by design.
-  std::printf("\nheadline: KSM diverse-VM scan-throughput speedup %.2fx (target >= 5x)\n",
-              ksm_speedup);
-  reporter.AddRow("headlines", {{"name", "ksm_fingerprint_speedup"},
-                                {"value", ksm_speedup},
-                                {"target", 5.0}});
 
   double ksm_parallel = 0.0;
   for (const std::vector<SweepResult>& series : sweeps) {
@@ -448,9 +400,8 @@ std::vector<std::size_t> ParseArgs(int argc, char** argv) {
     // CI regression gate: short simulated windows, sweep endpoints only. Rates
     // and ratios stay comparable to the full run; raw counts don't. The window
     // still spans two WPF passes (wpf_period is 30 s): a 20 s window held none,
-    // so WPF's speedup row timed an empty scan and read 0.5-1.2x. WPF's two
-    // passes take ~30 ms, so the run keeps the full run's best-of-3 to absorb
-    // scheduler jitter.
+    // so WPF's run row timed an empty scan. WPF's two passes take ~30 ms, so
+    // the run keeps the full run's best-of-3 to absorb scheduler jitter.
     g_run_time = 65 * kSecond;
     g_churn_steps = 8;
   }

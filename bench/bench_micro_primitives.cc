@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "bench/reporter.h"
@@ -24,71 +23,45 @@
 namespace vusion {
 namespace {
 
-// --- Per-ISA content primitive tables ---
+// --- Content primitives ---
 //
-// One row per compiled implementation (scalar / wordwise / avx2) for each hot
-// primitive, so regressions in a single kernel are visible in the BENCH json.
-// The AVX2 rows are registered only when the table is genuinely distinct from
-// the wordwise fallback.
+// One row per primitive over a full 4 KB page: the hash, the compare of two
+// equal pages (it reads both pages to the end), and the zero test.
 
-alignas(32) std::array<std::uint8_t, kPageSize> g_page_a;
-alignas(32) std::array<std::uint8_t, kPageSize> g_page_b;
+alignas(64) std::array<std::uint8_t, kPageSize> g_page_a;
+alignas(64) std::array<std::uint8_t, kPageSize> g_page_b;
 
 void FillBenchPages() {
   ExpandPattern(0xbe9c0de, g_page_a.data());
   std::memcpy(g_page_b.data(), g_page_a.data(), kPageSize);
 }
 
-void BM_IsaHashPage(benchmark::State& state, const ContentOps* ops) {
+void BM_HashPage(benchmark::State& state) {
   FillBenchPages();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ops->hash_page(g_page_a.data()));
+    benchmark::DoNotOptimize(HashPage(g_page_a.data()));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kPageSize);
 }
+BENCHMARK(BM_HashPage);
 
-void BM_IsaComparePagesEqual(benchmark::State& state, const ContentOps* ops) {
+void BM_ComparePagesEqual(benchmark::State& state) {
   FillBenchPages();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ops->compare_pages(g_page_a.data(), g_page_b.data()));
+    benchmark::DoNotOptimize(ComparePages(g_page_a.data(), g_page_b.data()));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kPageSize);
 }
+BENCHMARK(BM_ComparePagesEqual);
 
-void BM_IsaComparePagesLastByteDiff(benchmark::State& state, const ContentOps* ops) {
-  FillBenchPages();
-  g_page_b[kPageSize - 1] ^= 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops->compare_pages(g_page_a.data(), g_page_b.data()));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kPageSize);
-}
-
-void BM_IsaIsZero(benchmark::State& state, const ContentOps* ops) {
+void BM_IsZeroPage(benchmark::State& state) {
   std::memset(g_page_a.data(), 0, kPageSize);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ops->is_zero(g_page_a.data()));
+    benchmark::DoNotOptimize(IsZeroPage(g_page_a.data()));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kPageSize);
 }
-
-void RegisterIsaBenches() {
-  std::vector<const ContentOps*> tables = {&GetContentOps(ContentIsa::kScalar),
-                                           &GetContentOps(ContentIsa::kWordwise)};
-  const ContentOps& avx2 = GetContentOps(ContentIsa::kAvx2);
-  if (avx2.isa == ContentIsa::kAvx2) {
-    tables.push_back(&avx2);
-  }
-  for (const ContentOps* ops : tables) {
-    const std::string tag = std::string("<") + ops->name + ">";
-    benchmark::RegisterBenchmark(("BM_IsaHashPage" + tag).c_str(), BM_IsaHashPage, ops);
-    benchmark::RegisterBenchmark(("BM_IsaComparePagesEqual" + tag).c_str(),
-                                 BM_IsaComparePagesEqual, ops);
-    benchmark::RegisterBenchmark(("BM_IsaComparePagesLastByteDiff" + tag).c_str(),
-                                 BM_IsaComparePagesLastByteDiff, ops);
-    benchmark::RegisterBenchmark(("BM_IsaIsZero" + tag).c_str(), BM_IsaIsZero, ops);
-  }
-}
+BENCHMARK(BM_IsZeroPage);
 
 void BM_PatternHash(benchmark::State& state) {
   PhysicalMemory mem(64);
@@ -326,7 +299,6 @@ class JsonBridgeReporter : public benchmark::ConsoleReporter {
 }  // namespace vusion
 
 int main(int argc, char** argv) {
-  vusion::RegisterIsaBenches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;

@@ -1,5 +1,6 @@
 #include "src/chaos/fuzz_campaign.h"
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -7,6 +8,7 @@
 #include <utility>
 
 #include "src/chaos/invariant_auditor.h"
+#include "src/host/thread_pool.h"
 #include "src/kernel/machine.h"
 #include "src/kernel/process.h"
 #include "src/snapshot/machine_snapshot.h"
@@ -46,6 +48,17 @@ bool ParseCampaignEngine(const std::string& token, EngineKind& kind) {
     }
   }
   return false;
+}
+
+bool ParseScanThreads(const std::string& token, std::size_t& threads) {
+  std::size_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > host::ThreadPool::kMaxThreads) {
+    return false;
+  }
+  threads = value;
+  return true;
 }
 
 std::string FuzzCampaign::ReproCommand(

@@ -64,6 +64,12 @@ struct CampaignResult {
 const char* CampaignEngineToken(EngineKind kind);
 bool ParseCampaignEngine(const std::string& token, EngineKind& kind);
 
+// The `--threads` value of the chaos_fuzz and savestate CLIs: a decimal scan
+// thread count no larger than host::ThreadPool::kMaxThreads. Returns false for
+// anything else, so the tools reject it while parsing, before a Machine (and
+// its thread pool) exists.
+bool ParseScanThreads(const std::string& token, std::size_t& threads);
+
 class FuzzCampaign {
  public:
   explicit FuzzCampaign(CampaignOptions options) : options_(std::move(options)) {}

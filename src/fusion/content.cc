@@ -1,19 +1,6 @@
 #include "src/fusion/content.h"
 
-#include <bit>
-
 namespace vusion {
-
-int ChargedContent::Compare(FrameId a, FrameId b) const {
-  LatencyModel& lm = machine_->latency();
-  lm.Charge(lm.config().content_compare);
-  return machine_->memory().Compare(a, b);
-}
-
-void ChargedContent::ChargeTreeStep() const {
-  LatencyModel& lm = machine_->latency();
-  lm.Charge(lm.config().tree_step);
-}
 
 bool ChargedContent::Matches(FrameId a, FrameId b) const {
   LatencyModel& lm = machine_->latency();
@@ -25,15 +12,8 @@ bool ChargedContent::Matches(FrameId a, FrameId b) const {
   return memory.Compare(a, b) == 0;
 }
 
-std::uint64_t ChargedContent::HostFingerprint(FrameId frame) const {
-  return machine_->memory().HashContent(frame);
-}
-
 int ChargedContent::HostOrder(FrameId a, FrameId b) const {
   PhysicalMemory& memory = machine_->memory();
-  if (byte_ordered_) {
-    return memory.Compare(a, b);
-  }
   const std::uint64_t ha = memory.HashContent(a);
   const std::uint64_t hb = memory.HashContent(b);
   if (ha != hb) {

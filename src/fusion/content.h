@@ -13,28 +13,20 @@ namespace vusion {
 
 // Content hash/compare for the fusion engines. Two strictly separated layers:
 //
-//  * Charged operations (Hash, Compare, ChargeTreeStep, ChargeTreeDescend,
-//    Matches) accrue the paper-faithful modeled CPU cost — jhash of a 4 KB page,
-//    memcmp of two 4 KB pages, rbtree pointer chasing — to the machine clock.
-//    Simulated timing depends only on these charges.
+//  * Charged operations (Hash, ChargeTreeDescend, Matches) accrue the
+//    paper-faithful modeled CPU cost — jhash of a 4 KB page, memcmp of two 4 KB
+//    pages, rbtree pointer chasing — to the machine clock. Simulated timing
+//    depends only on these charges.
 //
-//  * Host-side operations (HostFingerprint, HostOrder) are free on the simulated
-//    clock and exist to make the simulator itself fast: HostFingerprint is the
-//    per-frame content hash memoized by PhysicalMemory's content-generation
-//    counter, and HostOrder is the total order the fusion trees are sorted by.
-//
-// By default HostOrder is fingerprint-first — (cached 64-bit hash, bytes only on
-// hash collision) — so a tree-descend step costs the host one integer compare
-// instead of a byte comparison. FusionConfig::byte_ordered_trees selects the
-// reference byte-lexicographic order (the pre-fingerprint behaviour) instead.
-// Both orders agree on equality (bytes equal <=> rank equal), and charged costs
-// are a function of tree size only, so every simulated statistic and every
-// charged latency is bit-identical between the two modes; see DESIGN.md,
-// "Two clocks: host cost vs charged cost".
+//  * HostOrder is free on the simulated clock: the total order the content
+//    trees are sorted by. It is fingerprint-first — (cached 64-bit hash, bytes
+//    only on hash collision) — so a tree-descend step costs the host one
+//    integer compare instead of a byte comparison. It agrees with byte order on
+//    equality (bytes equal <=> rank equal), and charged costs are a function of
+//    tree size only; see DESIGN.md, "Two clocks: host cost vs charged cost".
 class ChargedContent {
  public:
-  explicit ChargedContent(Machine& machine, bool byte_ordered = false)
-      : machine_(&machine), byte_ordered_(byte_ordered) {}
+  explicit ChargedContent(Machine& machine) : machine_(&machine) {}
 
   // --- Charged (modeled cost) ---
   //
@@ -46,9 +38,6 @@ class ChargedContent {
     lm.Charge(lm.config().content_hash);
     return machine_->memory().HashContent(frame);
   }
-  int Compare(FrameId a, FrameId b) const;
-  // One tree descend step's bookkeeping cost (pointer chasing).
-  void ChargeTreeStep() const;
   // Modeled cost of one full lookup/insert descent of a content-ordered tree with
   // `tree_size` entries: floor(log2(size))+1 steps, each a tree_step plus a
   // content_compare, charged as one noisy quantum. Deliberately a function of
@@ -67,15 +56,11 @@ class ChargedContent {
 
   // --- Host-side (free on the simulated clock) ---
 
-  // Memoized content hash; recomputed only when the frame's generation moved.
-  [[nodiscard]] std::uint64_t HostFingerprint(FrameId frame) const;
-  // The tree order: fingerprint-first, or raw byte order in the ablation mode.
+  // The tree order: memoized content hash first, bytes on a hash tie.
   [[nodiscard]] int HostOrder(FrameId a, FrameId b) const;
-  [[nodiscard]] bool byte_ordered() const { return byte_ordered_; }
 
  private:
   Machine* machine_;
-  bool byte_ordered_;
 };
 
 // Iterates (process, vpn) pairs over all mergeable VMAs of all processes, round

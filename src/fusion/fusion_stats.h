@@ -70,13 +70,6 @@ struct FusionConfig {
   // WPF pass period (paper: 15 minutes).
   SimTime wpf_period = 15 * 60 * kSecond;
 
-  // Ablation: order the fusion trees by raw byte comparison (the reference,
-  // pre-fingerprint host behaviour) instead of (content hash, bytes-on-collision).
-  // Simulated statistics and charged latencies are bit-identical in both modes;
-  // only the simulator's own (wall-clock) cost differs. bench_host_throughput
-  // measures the gap; the fingerprint-parity test proves the identity.
-  bool byte_ordered_trees = false;
-
   // Memory Combining (swap-cache-only dedup, §10.1 related work):
   std::size_t mc_low_watermark = 1024;   // swap out when free frames drop below
   std::size_t mc_swap_batch = 512;       // pages swapped per pressure episode

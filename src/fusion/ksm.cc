@@ -15,32 +15,13 @@ int Ksm::StableCompare::operator()(StableEntry* const& a, StableEntry* const& b)
   return ksm->content_.HostOrder(a->frame, b->frame);
 }
 
-// Fingerprint mode orders by immutable keys — insert-time hash, then frame id —
-// so the tree's shape depends only on the insert sequence, never on content that
-// mutated after insertion (unstable pages are not write-protected). Byte mode
-// keeps the reference live byte order.
-int Ksm::UnstableCompare::operator()(const UnstableItem& a, const UnstableItem& b) const {
-  if (ksm->content_.byte_ordered()) {
-    return ksm->content_.HostOrder(a.frame, b.frame);
-  }
-  if (a.sort_hash != b.sort_hash) {
-    return a.sort_hash < b.sort_hash ? -1 : 1;
-  }
-  if (a.frame != b.frame) {
-    return a.frame < b.frame ? -1 : 1;
-  }
-  return 0;
-}
-
 Ksm::Ksm(Machine& machine, const FusionConfig& config)
     : FusionEngine(machine, config),
-      content_(machine, config.byte_ordered_trees),
+      content_(machine),
       cursor_(machine),
       pipeline_(machine.memory()),
-      stable_(StableCompare{this}),
-      unstable_(UnstableCompare{this}) {
+      stable_(StableCompare{this}) {
   stable_.SetNodeArena(&arena_);
-  unstable_.SetNodeArena(&arena_);
 }
 
 Ksm::~Ksm() {
@@ -259,24 +240,14 @@ void Ksm::ScanOne(Process& process, Vpn vpn) {
   UnstableInsert(UnstableItem{frame, &process, vpn, hash});
 }
 
-bool Ksm::UnstableFindRemoveTree(FrameId frame, UnstableItem* out) {
-  auto [node, steps] = unstable_.Find(
-      [&](const UnstableItem& u) { return content_.HostOrder(frame, u.frame); });
-  if (node == nullptr) {
-    return false;
-  }
-  *out = node->value;
-  unstable_.Remove(node);
-  return true;
-}
-
 bool Ksm::UnstableChainRemove(FpSlot* fp, FrameId frame, UnstableItem* out) {
-  // Deterministic choice within the equal-hash chain: the reference rb-tree
-  // ordered equal-hash items by (frame, insertion order) and returned the
-  // leftmost whose content still matches the probe, so pick the content match
-  // with the smallest frame, earliest-inserted on ties. (An item whose content
-  // mutated after insert keeps its insert-time hash and simply fails the byte
-  // check.) Chains are per-hash, so they are almost always a single node.
+  // Deterministic choice within the equal-hash chain: a (sort_hash, frame)
+  // keyed rb-tree orders equal-hash items by (frame, insertion order) and
+  // returns the leftmost whose content still matches the probe, so pick the
+  // content match with the smallest frame, earliest-inserted on ties. (An item
+  // whose content mutated after insert keeps its insert-time hash and simply
+  // fails the byte check.) Chains are per-hash, so they are almost always a
+  // single node.
   std::uint32_t best = kNoNode;
   std::uint32_t best_prev = kNoNode;
   std::uint32_t prev = kNoNode;
@@ -310,7 +281,6 @@ bool Ksm::UnstableChainRemove(FpSlot* fp, FrameId frame, UnstableItem* out) {
 }
 
 void Ksm::UnstableClear() {
-  unstable_.Clear();
   // The round-stamp IS the clear; old-stamped slots are dead weight kept for
   // reuse next round (the same unique pages re-claim the same slots). Under
   // content churn the key set drifts and dead slots accumulate; FpGrow — which
@@ -410,9 +380,6 @@ void Ksm::StableIndexRemove(StableEntry* entry) {
 }
 
 bool Ksm::ValidateUnstableChains() const {
-  if (content_.byte_ordered()) {
-    return unstable_pool_.empty() && unstable_live_ == 0;
-  }
   std::size_t live = 0;
   for (const FpSlot& s : fps_slots_) {
     if (s.stamp != fps_round_) {
@@ -832,22 +799,9 @@ void Ksm::SaveState(snapshot::SnapshotWriter& w) const {
     }
   }
 
-  // Unstable structure, both representations (whichever the mode left empty
-  // serializes as empty): the byte-ordered rb-tree, then the fingerprint pool
-  // and slot table verbatim. Pool entries unlinked mid-round may hold dangling
-  // Process* — only entries reachable from a current-round chain are written.
-  w.U64(unstable_.size());
-  unstable_.ExportPreorder([&w](const UnstableItem& item, bool red, bool has_left,
-                                bool has_right) {
-    w.U32(item.frame);
-    w.U32(item.process->id());
-    w.U64(item.vpn);
-    w.U64(item.sort_hash);
-    w.Bool(red);
-    w.Bool(has_left);
-    w.Bool(has_right);
-  });
-
+  // Unstable structure: the chain pool and slot table verbatim. Pool entries
+  // unlinked mid-round may hold dangling Process* — only entries reachable
+  // from a current-round chain are written.
   std::vector<std::uint8_t> reachable(unstable_pool_.size(), 0);
   for (const FpSlot& s : fps_slots_) {
     if (s.stamp != fps_round_) {
@@ -966,22 +920,6 @@ void Ksm::RestoreState(snapshot::SnapshotReader& r) {
     const std::uint64_t key = r.U64();
     rmap_.insert_or_assign(key, entry_at(r.U32()));
   }
-
-  const std::uint64_t unstable_count = r.Count(27);
-  unstable_.ImportPreorder(
-      static_cast<std::size_t>(unstable_count),
-      [&](bool& red, bool& has_left, bool& has_right) -> UnstableItem {
-        UnstableItem item;
-        item.frame = r.U32();
-        item.process = KsmLiveProcess(*machine_, r.U32());
-        item.vpn = r.U64();
-        item.sort_hash = r.U64();
-        red = r.Bool();
-        has_left = r.Bool();
-        has_right = r.Bool();
-        return item;
-      },
-      [](UnstableTree::Node*) {});
 
   const std::uint64_t pool_count = r.Count(1);
   unstable_pool_.clear();

@@ -54,8 +54,7 @@ class Ksm final : public FusionEngine {
   [[nodiscard]] std::size_t unstable_size() const { return UnstableSize(); }
 
   [[nodiscard]] bool ValidateTrees() const {
-    return stable_.ValidateInvariants() && unstable_.ValidateInvariants() &&
-           ValidateUnstableChains();
+    return stable_.ValidateInvariants() && ValidateUnstableChains();
   }
   // True if (process, vpn) is currently merged (test helper).
   [[nodiscard]] bool IsMerged(const Process& process, Vpn vpn) const;
@@ -75,24 +74,19 @@ class Ksm final : public FusionEngine {
     Ksm* ksm;
     int operator()(StableEntry* const& a, StableEntry* const& b) const;
   };
-  // sort_hash is the frame's content hash at insert time and, in fingerprint
-  // mode, the conceptual tree key (with the frame id as tie-break). Both keys
-  // are immutable, so the conceptual unstable tree's shape is a pure function
-  // of the insert sequence — the property that lets fingerprint mode keep the
-  // items in flat per-hash chains and still resolve every lookup to exactly the
-  // node the reference rb-tree would have returned.
+  // sort_hash is the frame's content hash at insert time and the conceptual
+  // unstable-tree key (with the frame id as tie-break). Both keys are
+  // immutable, so the conceptual tree's shape is a pure function of the insert
+  // sequence — the property that lets the items live in flat per-hash chains
+  // and still resolve every lookup to exactly the node an rb-tree keyed the
+  // same way would return.
   struct UnstableItem {
     FrameId frame = kInvalidFrame;
     Process* process = nullptr;
     Vpn vpn = 0;
     std::uint64_t sort_hash = 0;
   };
-  struct UnstableCompare {
-    Ksm* ksm;
-    int operator()(const UnstableItem& a, const UnstableItem& b) const;
-  };
   using StableTree = RbTree<StableEntry*, StableCompare>;
-  using UnstableTree = RbTree<UnstableItem, UnstableCompare>;
   // Checksum-gate maps are keyed by plain vpns — dense per-process runs — so
   // the identity mixer keeps the scan loop's probes on consecutive cache lines.
   using ChecksumMap = FlatMap64<std::uint64_t, IdentityHash>;
@@ -118,23 +112,17 @@ class Ksm final : public FusionEngine {
   // --- Unstable-tree facade ---
   //
   // All unstable-tree access goes through these, so the conceptual tree (the
-  // rb-tree in byte-ordered mode, the per-hash chains in fingerprint mode)
-  // stays consistent with the size the charged descend cost is a function of.
-  [[nodiscard]] std::size_t UnstableSize() const {
-    return content_.byte_ordered() ? unstable_.size() : unstable_live_;
-  }
+  // per-hash chains) stays consistent with the size the charged descend cost
+  // is a function of.
+  [[nodiscard]] std::size_t UnstableSize() const { return unstable_live_; }
   struct FpSlot;  // defined with the fingerprint structures below
   // Finds the conceptual unstable item matching (hash, content-of-frame) — the
-  // leftmost (hash, frame)-ordered content match, exactly what the old rb-tree
-  // Find returned — and removes it, copying it into *out. Returns false if no
+  // leftmost (hash, frame)-ordered content match, exactly what a tree Find
+  // would return — and removes it, copying it into *out. Returns false if no
   // item matches. Defined inline because the common outcome on a unique page —
   // no live chain for the probe hash — is decided by one (prefetched) slot
-  // read; the rarer chain walk and the byte-ordered tree descent stay
-  // out of line.
+  // read; the rarer chain walk stays out of line.
   bool UnstableFindRemove(std::uint64_t hash, FrameId frame, UnstableItem* out) {
-    if (content_.byte_ordered()) {
-      return UnstableFindRemoveTree(frame, out);
-    }
     // No conceptual item was inserted with this hash => nothing can match (the
     // sort_hash key is immutable), so the chain walk is skipped entirely.
     FpSlot* fp = FpFind(hash);
@@ -143,15 +131,10 @@ class Ksm final : public FusionEngine {
     }
     return UnstableChainRemove(fp, frame, out);
   }
-  bool UnstableFindRemoveTree(FrameId frame, UnstableItem* out);
   bool UnstableChainRemove(FpSlot* fp, FrameId frame, UnstableItem* out);
   // Inline for the same reason as UnstableFindRemove: one steady-state append
   // per unique page, from the already-memoized slot.
   void UnstableInsert(UnstableItem item) {
-    if (content_.byte_ordered()) {
-      unstable_.Insert(item);
-      return;
-    }
     if ((fps_used_ + 1) * 2 > fps_slots_.size()) {
       FpGrow();
     }
@@ -195,13 +178,12 @@ class Ksm final : public FusionEngine {
 
   void UnstableClear();
   [[nodiscard]] bool ValidateUnstableChains() const;
-  // Stable-tree content lookup: the hash index in fingerprint mode (until the
-  // first shared-frame corruption), the reference tree descent otherwise.
-  // Inline so the common unique-page outcome — counting-filter bucket zero,
-  // hash provably not indexed — is one array read with no call.
+  // Stable-tree content lookup: the hash index until the first shared-frame
+  // corruption, the reference tree descent from then on. Inline so the common
+  // unique-page outcome — counting-filter bucket zero, hash provably not
+  // indexed — is one array read with no call.
   StableEntry* StableLookup(FrameId frame, std::uint64_t hash) {
-    if (!content_.byte_ordered() &&
-        machine_->memory().shared_content_mutations() == 0) {
+    if (machine_->memory().shared_content_mutations() == 0) {
       if (stable_filter_[StableFilterBucket(hash)] == 0) {
         return nullptr;  // filter miss: hash provably not in the index
       }
@@ -248,14 +230,13 @@ class Ksm final : public FusionEngine {
   host::ParallelScanPipeline pipeline_;
   host::ScanTiming timing_;
   std::vector<host::ScanItem> batch_;
-  // Node storage for both trees; declared before them so it outlives their
-  // destructors (members are destroyed in reverse declaration order).
+  // Node storage for the stable tree; declared before it so it outlives the
+  // tree's destructor (members are destroyed in reverse declaration order).
   Arena arena_;
   StableTree stable_;
-  UnstableTree unstable_;
-  // Insert-time hashes of every conceptual unstable item (fingerprint mode
-  // only). A probe hash absent here cannot match any node — sort_hash keys are
-  // immutable — so UnstableFind skips the descent. Stored as a round-stamped
+  // Insert-time hashes of every conceptual unstable item. A probe hash absent
+  // here cannot match any node — sort_hash keys are immutable — so
+  // UnstableFindRemove skips the chain walk. Stored as a round-stamped
   // open-addressed table (linear probing, fixed-size slots): a slot counts only
   // while its stamp matches fps_round_, so the per-round clear is one round bump
   // and the steady-state insert re-stamps the slot the same hash claimed last
@@ -264,7 +245,7 @@ class Ksm final : public FusionEngine {
   // FpGrow() compacts away when they come to dominate the table.
   // A slot also heads this round's chain of items inserted with its hash: the
   // chain (head -> tail through UnstableNode::next, insertion order) IS the
-  // fingerprint-mode unstable structure; no rb-tree is materialized at all.
+  // unstable structure; no rb-tree is materialized at all.
   struct FpSlot {
     std::uint64_t hash = 0;
     std::uint64_t stamp = 0;
@@ -306,7 +287,7 @@ class Ksm final : public FusionEngine {
     std::uint32_t next = kNoNode;
   };
   std::vector<UnstableNode> unstable_pool_;
-  std::size_t unstable_live_ = 0;  // conceptual unstable size (fingerprint mode)
+  std::size_t unstable_live_ = 0;  // conceptual unstable size
   std::vector<FpSlot> fps_slots_;  // power-of-2; lazily sized on first insert
   std::size_t fps_mask_ = 0;
   std::size_t fps_used_ = 0;  // slots with stamp != 0 (monotonic until FpGrow)

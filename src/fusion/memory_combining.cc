@@ -8,7 +8,7 @@ namespace vusion {
 
 MemoryCombining::MemoryCombining(Machine& machine, const FusionConfig& config)
     : FusionEngine(machine, config),
-      content_(machine, config.byte_ordered_trees),
+      content_(machine),
       cursor_(machine) {}
 
 MemoryCombining::~MemoryCombining() {

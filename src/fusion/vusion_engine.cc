@@ -18,7 +18,7 @@ int VUsionEngine::StableCompare::operator()(StableEntry* const& a,
 
 VUsionEngine::VUsionEngine(Machine& machine, const FusionConfig& config)
     : FusionEngine(machine, config),
-      content_(machine, config.byte_ordered_trees),
+      content_(machine),
       cursor_(machine),
       pipeline_(machine.memory()),
       stable_(StableCompare{this}),
@@ -283,8 +283,8 @@ void VUsionEngine::Act(Process& process, Vpn vpn, Pte* pte) {
   }
   const FrameId old = pte->frame;
   content_.Hash(old);
-  // Charged descent cost depends only on the tree's size, never its shape, so the
-  // latency (and noise-RNG) stream is identical in hash- and byte-ordered modes.
+  // Charged descent cost depends only on the tree's size, never its shape or
+  // the host-side order it is sorted by.
   content_.ChargeTreeDescend(stable_.size());
   auto [node, steps] =
       stable_.Find([&](StableEntry* const& e) { return content_.HostOrder(old, e->frame); });

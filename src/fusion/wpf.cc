@@ -9,27 +9,24 @@
 namespace vusion {
 
 int Wpf::CombinedCompare::operator()(Combined* const& a, Combined* const& b) const {
-  if (!wpf->content_.byte_ordered()) {
-    // Immutable (insert-time hash, frame) key: total order, no content reads.
-    if (a->sort_hash != b->sort_hash) {
-      return a->sort_hash < b->sort_hash ? -1 : 1;
-    }
-    if (a->frame != b->frame) {
-      return a->frame < b->frame ? -1 : 1;
-    }
-    return 0;
+  // Immutable (insert-time hash, frame) key: total order, no content reads.
+  if (a->sort_hash != b->sort_hash) {
+    return a->sort_hash < b->sort_hash ? -1 : 1;
   }
-  return wpf->content_.HostOrder(a->frame, b->frame);
+  if (a->frame != b->frame) {
+    return a->frame < b->frame ? -1 : 1;
+  }
+  return 0;
 }
 
 Wpf::Wpf(Machine& machine, const FusionConfig& config)
     : FusionEngine(machine, config),
-      content_(machine, config.byte_ordered_trees),
+      content_(machine),
       pipeline_(machine.memory()),
       linear_(machine.buddy(), machine.memory()) {
   trees_.reserve(kShards);
   for (std::size_t i = 0; i < kShards; ++i) {
-    trees_.push_back(std::make_unique<Tree>(CombinedCompare{this}));
+    trees_.push_back(std::make_unique<Tree>());
     trees_.back()->SetNodeArena(&arena_);
   }
 }
@@ -116,14 +113,11 @@ void Wpf::DoFusionPass() {
     Tree& tree = *trees_[c.hash % kShards];
     content_.ChargeTreeDescend(tree.size());
     auto [entry, steps] = tree.Find([&](Combined* const& e) {
-      if (!content_.byte_ordered()) {
-        if (c.hash != e->sort_hash) {
-          return c.hash < e->sort_hash ? -1 : 1;
-        }
-        // Equal fingerprint: verify by bytes (collisions partition further down).
-        return machine_->memory().Compare(c.frame, e->frame);
+      if (c.hash != e->sort_hash) {
+        return c.hash < e->sort_hash ? -1 : 1;
       }
-      return content_.HostOrder(c.frame, e->frame);
+      // Equal fingerprint: verify by bytes (collisions partition further down).
+      return machine_->memory().Compare(c.frame, e->frame);
     });
     if (entry != nullptr) {
       MergeIntoCombined(c, *entry);
@@ -216,18 +210,8 @@ void Wpf::DoFusionPass() {
       // aborts): an unreferenced Combined entry would leak its frame forever.
       // Undo the insertion entirely.
       content_.ChargeTreeDescend(trees_[entry->shard]->size());
-      trees_[entry->shard]->RemoveIf([&](Combined* const& e) {
-        if (!content_.byte_ordered()) {
-          if (entry->sort_hash != e->sort_hash) {
-            return entry->sort_hash < e->sort_hash ? -1 : 1;
-          }
-          if (entry->frame != e->frame) {
-            return entry->frame < e->frame ? -1 : 1;
-          }
-          return 0;
-        }
-        return content_.HostOrder(entry->frame, e->frame);
-      });
+      trees_[entry->shard]->RemoveIf(
+          [&](Combined* const& e) { return CombinedCompare{}(entry, e); });
       --rmap_bucket_count_;
       machine_->FlushFrame(entry->frame);
       lm.Charge(lm.config().buddy_free);
@@ -346,23 +330,12 @@ void Wpf::DropRef(Combined* entry) {
   }
   --entry->refs;
   if (entry->refs == 0) {
-    // Remove by navigation; the probe must order exactly like the tree comparator
-    // or the descent goes wrong. In fingerprint mode the immutable (sort_hash,
-    // frame) key guarantees the entry is found even if its content was mutated.
+    // Remove by navigation with the tree's own comparator: the immutable
+    // (sort_hash, frame) key finds the entry even if its content was mutated.
     Tree& tree = *trees_[entry->shard];
     content_.ChargeTreeDescend(tree.size());
-    const bool removed = tree.RemoveIf([&](Combined* const& e) {
-      if (!content_.byte_ordered()) {
-        if (entry->sort_hash != e->sort_hash) {
-          return entry->sort_hash < e->sort_hash ? -1 : 1;
-        }
-        if (entry->frame != e->frame) {
-          return entry->frame < e->frame ? -1 : 1;
-        }
-        return 0;
-      }
-      return content_.HostOrder(entry->frame, e->frame);
-    });
+    const bool removed =
+        tree.RemoveIf([&](Combined* const& e) { return CombinedCompare{}(entry, e); });
     (void)removed;
     --rmap_bucket_count_;
     machine_->FlushFrame(entry->frame);

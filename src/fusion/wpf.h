@@ -72,13 +72,12 @@ class Wpf final : public FusionEngine {
     FrameId frame = kInvalidFrame;
     std::uint32_t refs = 0;
     std::size_t shard = 0;
-    // Content hash captured at insertion. Fingerprint-ordered trees sort by
-    // (sort_hash, frame) — both immutable — so removal navigation stays correct
-    // even if the frame's content is later mutated (e.g. by a Rowhammer flip).
+    // Content hash captured at insertion. The trees sort by (sort_hash, frame)
+    // — both immutable — so removal navigation stays correct even if the
+    // frame's content is later mutated (e.g. by a Rowhammer flip).
     std::uint64_t sort_hash = 0;
   };
   struct CombinedCompare {
-    Wpf* wpf;
     int operator()(Combined* const& a, Combined* const& b) const;
   };
   using Tree = AvlTree<Combined*, CombinedCompare>;

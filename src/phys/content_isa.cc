@@ -1,14 +1,8 @@
 #include "src/phys/content_isa.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "src/phys/frame.h"
-
-#if defined(__x86_64__) && !defined(VUSION_DISABLE_AVX2)
-#define VUSION_HAVE_AVX2 1
-#include <immintrin.h>
-#endif
 
 namespace vusion {
 
@@ -19,6 +13,8 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 constexpr std::size_t kLanes = 8;
 constexpr std::size_t kWordsPerPage = kPageSize / 8;  // 512
+
+alignas(64) constexpr std::uint8_t kZeroPage[kPageSize] = {};
 
 // SplitMix64 finalizer; also the core of the pattern stream.
 constexpr std::uint64_t Fin(std::uint64_t z) {
@@ -39,9 +35,21 @@ std::uint64_t LoadWord(const std::uint8_t* p) {
   return w;
 }
 
-// Folds the 8 lane accumulators into one digest. Shared by every ISA so the
-// result is implementation independent.
-std::uint64_t CombineLanes(const std::uint64_t lanes[kLanes]) {
+}  // namespace
+
+std::uint64_t HashPage(const std::uint8_t* page) {
+  std::uint64_t lanes[kLanes];
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    lanes[i] = LaneInit(i);
+  }
+  // Block-unrolled 64-bit stripes: the 8 lanes are independent, so the loop
+  // body auto-vectorizes.
+  for (std::size_t block = 0; block < kWordsPerPage / kLanes; ++block) {
+    const std::uint8_t* p = page + block * kLanes * 8;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      lanes[i] = (lanes[i] ^ LoadWord(p + i * 8)) * kFnvPrime;
+    }
+  }
   std::uint64_t h = kFnvOffset;
   for (std::size_t i = 0; i < kLanes; ++i) {
     h = (h ^ Fin(lanes[i])) * kFnvPrime;
@@ -49,201 +57,22 @@ std::uint64_t CombineLanes(const std::uint64_t lanes[kLanes]) {
   return h;
 }
 
-// --- Scalar: straightforward loops, one word at a time. ---
-
-std::uint64_t HashScalar(const std::uint8_t* page) {
-  std::uint64_t lanes[kLanes];
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    lanes[i] = LaneInit(i);
-  }
-  for (std::size_t w = 0; w < kWordsPerPage; ++w) {
-    lanes[w % kLanes] = (lanes[w % kLanes] ^ LoadWord(page + w * 8)) * kFnvPrime;
-  }
-  return CombineLanes(lanes);
+int ComparePages(const std::uint8_t* a, const std::uint8_t* b) {
+  const int c = std::memcmp(a, b, kPageSize);
+  return (c > 0) - (c < 0);
 }
 
-int CompareScalar(const std::uint8_t* a, const std::uint8_t* b) {
-  for (std::size_t i = 0; i < kPageSize; ++i) {
-    if (a[i] != b[i]) {
-      return a[i] < b[i] ? -1 : 1;
-    }
-  }
-  return 0;
-}
-
-bool IsZeroScalar(const std::uint8_t* page) {
-  for (std::size_t i = 0; i < kPageSize; ++i) {
-    if (page[i] != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// --- Wordwise: 64-bit stripes, block-unrolled; auto-vectorizer friendly. ---
-
-std::uint64_t HashWordwise(const std::uint8_t* page) {
-  std::uint64_t lanes[kLanes];
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    lanes[i] = LaneInit(i);
-  }
-  for (std::size_t block = 0; block < kWordsPerPage / kLanes; ++block) {
-    const std::uint8_t* p = page + block * kLanes * 8;
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      lanes[i] = (lanes[i] ^ LoadWord(p + i * 8)) * kFnvPrime;
-    }
-  }
-  return CombineLanes(lanes);
-}
-
-int CompareWordwise(const std::uint8_t* a, const std::uint8_t* b) {
-  for (std::size_t w = 0; w < kWordsPerPage; ++w) {
-    const std::uint64_t wa = LoadWord(a + w * 8);
-    const std::uint64_t wb = LoadWord(b + w * 8);
-    if (wa != wb) {
-      // memcmp order = lexicographic bytes = numeric order of byte-swapped
-      // little-endian words.
-      return __builtin_bswap64(wa) < __builtin_bswap64(wb) ? -1 : 1;
-    }
-  }
-  return 0;
-}
-
-bool IsZeroWordwise(const std::uint8_t* page) {
-  std::uint64_t acc = 0;
-  for (std::size_t w = 0; w < kWordsPerPage; ++w) {
-    acc |= LoadWord(page + w * 8);
-  }
-  return acc == 0;
-}
-
-#if VUSION_HAVE_AVX2
-
-// 64x64->64 multiply by the constant kFnvPrime = 2^40 + 0x1b3:
-//   v * P = v*0x1b3 + (v << 40)
-//         = mul_epu32(v, 0x1b3) + ((v_hi * 0x1b3) << 32) + (v << 40)
-// (high halves of the cross terms fall out of the 64-bit truncation).
-__attribute__((target("avx2"))) inline __m256i MulFnvPrime(__m256i v) {
-  const __m256i p = _mm256_set1_epi64x(0x1b3);
-  const __m256i lo = _mm256_mul_epu32(v, p);
-  const __m256i hi = _mm256_mullo_epi32(_mm256_srli_epi64(v, 32), p);
-  return _mm256_add_epi64(_mm256_add_epi64(lo, _mm256_slli_epi64(hi, 32)),
-                          _mm256_slli_epi64(v, 40));
-}
-
-__attribute__((target("avx2"))) std::uint64_t HashAvx2(const std::uint8_t* page) {
-  alignas(32) std::uint64_t init[kLanes];
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    init[i] = LaneInit(i);
-  }
-  __m256i acc0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(init));
-  __m256i acc1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(init + 4));
-  for (std::size_t block = 0; block < kWordsPerPage / kLanes; ++block) {
-    const auto* p = reinterpret_cast<const __m256i*>(page + block * kLanes * 8);
-    acc0 = MulFnvPrime(_mm256_xor_si256(acc0, _mm256_loadu_si256(p)));
-    acc1 = MulFnvPrime(_mm256_xor_si256(acc1, _mm256_loadu_si256(p + 1)));
-  }
-  alignas(32) std::uint64_t lanes[kLanes];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc0);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4), acc1);
-  return CombineLanes(lanes);
-}
-
-__attribute__((target("avx2"))) int CompareAvx2(const std::uint8_t* a,
-                                               const std::uint8_t* b) {
-  for (std::size_t off = 0; off < kPageSize; off += 32) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + off));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + off));
-    const unsigned eq =
-        static_cast<unsigned>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-    if (eq != 0xffffffffu) {
-      const std::size_t i = off + static_cast<std::size_t>(__builtin_ctz(~eq));
-      return a[i] < b[i] ? -1 : 1;
-    }
-  }
-  return 0;
-}
-
-__attribute__((target("avx2"))) bool IsZeroAvx2(const std::uint8_t* page) {
-  __m256i acc = _mm256_setzero_si256();
-  for (std::size_t off = 0; off < kPageSize; off += 32) {
-    acc = _mm256_or_si256(acc,
-                          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(page + off)));
-  }
-  return _mm256_testz_si256(acc, acc) != 0;
-}
-
-bool CpuHasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
-
-#endif  // VUSION_HAVE_AVX2
-
-constexpr ContentOps kScalarOps = {ContentIsa::kScalar, "scalar", HashScalar,
-                                   CompareScalar, IsZeroScalar};
-constexpr ContentOps kWordwiseOps = {ContentIsa::kWordwise, "wordwise", HashWordwise,
-                                     CompareWordwise, IsZeroWordwise};
-#if VUSION_HAVE_AVX2
-constexpr ContentOps kAvx2Ops = {ContentIsa::kAvx2, "avx2", HashAvx2, CompareAvx2,
-                                 IsZeroAvx2};
-#endif
-
-}  // namespace
-
-const char* ContentIsaName(ContentIsa isa) {
-  switch (isa) {
-    case ContentIsa::kScalar:
-      return "scalar";
-    case ContentIsa::kWordwise:
-      return "wordwise";
-    case ContentIsa::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-const ContentOps& GetContentOps(ContentIsa isa) {
-  switch (isa) {
-    case ContentIsa::kScalar:
-      return kScalarOps;
-    case ContentIsa::kWordwise:
-      return kWordwiseOps;
-    case ContentIsa::kAvx2:
-#if VUSION_HAVE_AVX2
-      if (CpuHasAvx2()) {
-        return kAvx2Ops;
-      }
-#endif
-      return kWordwiseOps;  // compiled out or CPU lacks it
-  }
-  return kWordwiseOps;
+bool IsZeroPage(const std::uint8_t* page) {
+  return std::memcmp(page, kZeroPage, kPageSize) == 0;
 }
 
 const ContentOps& ActiveContentOps() {
-  static const ContentOps* const active = [] {
-    ContentIsa isa = ContentIsa::kWordwise;
-#if VUSION_HAVE_AVX2
-    if (CpuHasAvx2()) {
-      isa = ContentIsa::kAvx2;
-    }
-#endif
-    if (const char* env = std::getenv("VUSION_CONTENT_ISA")) {
-      if (std::strcmp(env, "scalar") == 0) {
-        isa = ContentIsa::kScalar;
-      } else if (std::strcmp(env, "wordwise") == 0) {
-        isa = ContentIsa::kWordwise;
-      } else if (std::strcmp(env, "avx2") == 0) {
-        isa = ContentIsa::kAvx2;
-      }
-    }
-    return &GetContentOps(isa);
-  }();
-  return *active;
+  static constexpr ContentOps kPortable = {"portable", HashPage, ComparePages, IsZeroPage};
+  return kPortable;
 }
 
 std::uint64_t ZeroPageHash() {
-  static const std::uint64_t hash = [] {
-    alignas(32) std::uint8_t zeros[kPageSize] = {};
-    return ActiveContentOps().hash_page(zeros);
-  }();
+  static const std::uint64_t hash = HashPage(kZeroPage);
   return hash;
 }
 

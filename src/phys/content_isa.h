@@ -1,20 +1,17 @@
-// ISA-dispatched content primitives for the scan hot loop: page hashing,
-// three-way compare, and zero detection over whole 4 KB pages.
+// Content primitives for the scan hot loop: page hashing, three-way compare,
+// and zero detection over whole 4 KB pages.
 //
 // The hash is a fixed 8-lane FNV variant: the page is read as 512 little-endian
 // 64-bit words, striped across 8 independent FNV-1a lanes (lane i absorbs words
 // i, i+8, i+16, ...), and the lanes are folded through a SplitMix64 finalizer
-// into one 64-bit digest. Every implementation — scalar, wordwise, AVX2 —
-// computes this exact function, so the digest is a property of the page bytes,
-// never of the host CPU. Host fingerprints differ from the old byte-loop FNV-1a,
-// which is fine: nothing simulated depends on concrete hash values, only on
-// equal-content collision behaviour (FingerprintParityTest).
+// into one 64-bit digest. The digest is a property of the page bytes, never of
+// the host CPU. Nothing simulated depends on concrete hash values, only on
+// equal contents hashing equal.
 //
-// Dispatch: ActiveContentOps() picks the best implementation compiled in and
-// supported by the CPU, overridable with VUSION_CONTENT_ISA=scalar|wordwise|avx2
-// for ablation. Compiling with VUSION_DISABLE_AVX2 removes the AVX2 kernels
-// entirely (the portable CI leg); requesting an unavailable ISA falls back to
-// wordwise. All entry points are stateless and thread-safe — phase-1 scan
+// Compare and the zero test are std::memcmp (against a static zero page for
+// the latter): glibc's memcmp outruns hand-written scalar, wordwise and AVX2
+// loops on a 4 KB page (DESIGN.md §11). There is one implementation and no
+// dispatch. Every entry point is stateless and thread-safe: streaming-scan
 // workers call them concurrently.
 
 #ifndef VUSION_SRC_PHYS_CONTENT_ISA_H_
@@ -25,27 +22,25 @@
 
 namespace vusion {
 
-enum class ContentIsa { kScalar, kWordwise, kAvx2 };
+// Pages are exactly 4096 bytes.
+std::uint64_t HashPage(const std::uint8_t* page);
+// Lexicographic byte order: memcmp's sign, normalized to -1/0/1.
+int ComparePages(const std::uint8_t* a, const std::uint8_t* b);
+bool IsZeroPage(const std::uint8_t* page);
 
-// Function table for one implementation. Pages are exactly 4096 bytes.
-// compare_pages returns strict -1/0/1 (memcmp sign, normalized).
+// The three primitives as a named table. Only perfbench reads it, to print
+// the table's name in its report; the simulator calls the functions directly.
 struct ContentOps {
-  ContentIsa isa;
   const char* name;
   std::uint64_t (*hash_page)(const std::uint8_t* page);
   int (*compare_pages)(const std::uint8_t* a, const std::uint8_t* b);
   bool (*is_zero)(const std::uint8_t* page);
 };
 
-// Table for a specific ISA. Requesting kAvx2 when it is compiled out or the CPU
-// lacks it returns the wordwise table (check .isa to detect the fallback).
-const ContentOps& GetContentOps(ContentIsa isa);
-
-// Process-wide active table: best available ISA, overridden by the
-// VUSION_CONTENT_ISA environment variable. Resolved once, then cached.
+// The one table, named "portable".
 const ContentOps& ActiveContentOps();
 
-// Hash of the all-zero page under the lane hash (computed once, cached).
+// Hash of the all-zero page (computed once, cached).
 std::uint64_t ZeroPageHash();
 
 // Expands a pattern seed into 4096 bytes (the SplitMix64 word stream shared
@@ -54,8 +49,6 @@ void ExpandPattern(std::uint64_t seed, std::uint8_t* out);
 
 // Word w (8 bytes) of the pattern stream for `seed`.
 std::uint64_t PatternWord(std::uint64_t seed, std::size_t word_index);
-
-const char* ContentIsaName(ContentIsa isa);
 
 }  // namespace vusion
 

@@ -265,10 +265,10 @@ int PhysicalMemory::Compare(FrameId a, FrameId b) const {
     return 0;  // CoW-aliased buffers are byte-identical by construction
   }
   // Mixed or materialized kinds: expand the non-materialized side(s) into
-  // scratch and run the vectorized compare.
+  // scratch and compare the byte streams.
   const std::uint8_t* pa = FrameBytes(fa, g_scratch_a);
   const std::uint8_t* pb = FrameBytes(fb, g_scratch_b);
-  return ActiveContentOps().compare_pages(pa, pb);
+  return ComparePages(pa, pb);
 }
 
 std::uint64_t PhysicalMemory::HashContentSlow(FrameId f) const {
@@ -276,7 +276,7 @@ std::uint64_t PhysicalMemory::HashContentSlow(FrameId f) const {
   std::uint64_t h = 0;
   switch (fr.kind) {
     case ContentKind::kBytes:
-      h = ActiveContentOps().hash_page(fr.bytes->data());
+      h = HashPage(fr.bytes->data());
       break;
     case ContentKind::kZero:
       h = ZeroPageHash();
@@ -290,7 +290,7 @@ std::uint64_t PhysicalMemory::HashContentSlow(FrameId f) const {
       } else {
         ++pattern_hash_misses_;
         ExpandPattern(fr.pattern_seed, g_scratch_a);
-        h = ActiveContentOps().hash_page(g_scratch_a);
+        h = HashPage(g_scratch_a);
         PatternHashInsert(fr.pattern_seed, h);
       }
       break;
@@ -315,7 +315,7 @@ PhysicalMemory::HashSnapshot PhysicalMemory::PeekHash(FrameId f) const {
   std::uint64_t h = 0;
   switch (fr.kind) {
     case ContentKind::kBytes:
-      h = ActiveContentOps().hash_page(fr.bytes->data());
+      h = HashPage(fr.bytes->data());
       break;
     case ContentKind::kZero:
       h = ZeroPageHash();
@@ -326,7 +326,7 @@ PhysicalMemory::HashSnapshot PhysicalMemory::PeekHash(FrameId f) const {
       // counters.
       if (!PatternHashLookup(fr.pattern_seed, /*promote=*/false, &h)) {
         ExpandPattern(fr.pattern_seed, g_scratch_a);
-        h = ActiveContentOps().hash_page(g_scratch_a);
+        h = HashPage(g_scratch_a);
       }
       break;
   }
@@ -405,7 +405,7 @@ bool PhysicalMemory::IsZero(FrameId f) const {
     return true;
   }
   if (fr.kind == ContentKind::kBytes) {
-    return ActiveContentOps().is_zero(fr.bytes->data());
+    return IsZeroPage(fr.bytes->data());
   }
   // Pattern frames are non-zero with overwhelming probability; check one word
   // at a time without expanding the page.

@@ -72,8 +72,8 @@ class PhysicalMemory {
   // Lexicographic three-way content comparison (memcmp semantics).
   [[nodiscard]] int Compare(FrameId a, FrameId b) const;
 
-  // 64-bit content hash (the ISA-dispatched lane hash from content_isa.h; equal
-  // contents hash equal, identical across host ISAs).
+  // 64-bit content hash (the lane hash from content_isa.h; equal contents hash
+  // equal, identical on every host).
   // Memoized per frame via the content generation counter: recomputed only after a
   // mutating operation, O(1) on every other call. The cached fast path is inline;
   // scanners call this once or twice per tree-descend step.

@@ -154,7 +154,6 @@ inline void WriteFusionConfig(SnapshotWriter& w, const FusionConfig& c) {
   w.Bool(c.rerandomize_each_scan);
   w.Bool(c.thp_aware);
   w.U64(c.wpf_period);
-  w.Bool(c.byte_ordered_trees);
   w.U64(c.mc_low_watermark);
   w.U64(c.mc_swap_batch);
   w.F64(c.mc_compression_ratio);
@@ -181,7 +180,6 @@ inline FusionConfig ReadFusionConfig(SnapshotReader& r) {
   c.rerandomize_each_scan = r.Bool();
   c.thp_aware = r.Bool();
   c.wpf_period = r.U64();
-  c.byte_ordered_trees = r.Bool();
   c.mc_low_watermark = static_cast<std::size_t>(r.U64());
   c.mc_swap_batch = static_cast<std::size_t>(r.U64());
   c.mc_compression_ratio = r.F64();

@@ -38,7 +38,10 @@ inline constexpr std::uint64_t kMagic = 0x53535653'4e4f4953ull;  // "SIONVSSS"
 //   v4: the barrier scan shape removed. The FusionConfig record lost the
 //       streaming-shape flag and the hash-chunk size; a scan_threads above
 //       host::ThreadPool::kMaxThreads fails closed.
-inline constexpr std::uint32_t kVersion = 4;
+//   v5: the byte-ordered tree mode removed. The FusionConfig record lost its
+//       byte-ordered-trees flag byte, and KSM's section its unstable rb-tree
+//       preorder block (the per-hash chains are the only unstable structure).
+inline constexpr std::uint32_t kVersion = 5;
 inline constexpr std::size_t kHeaderBytes = 20;  // magic + version + count + crc
 
 // Structured restore failure: carries the name of the section (or "header")

@@ -22,7 +22,6 @@ Json Describe(const ScenarioConfig& config) {
   fusion.Set("thp_aware", config.fusion.thp_aware);
   fusion.Set("zero_pages_only", config.fusion.zero_pages_only);
   fusion.Set("unmerge_on_any_access", config.fusion.unmerge_on_any_access);
-  fusion.Set("byte_ordered_trees", config.fusion.byte_ordered_trees);
   fusion.Set("wpf_period_ns", config.fusion.wpf_period);
 
   Json out = Json::Object();

@@ -109,11 +109,15 @@ TEST(ChargedContentTest, OperationsAdvanceTheClock) {
   content.Hash(0);
   const SimTime t1 = machine.clock().now();
   EXPECT_GT(t1, t0);
-  content.Compare(0, 1);
-  EXPECT_GT(machine.clock().now(), t1);
+  EXPECT_FALSE(content.Matches(0, 1));
   const SimTime t2 = machine.clock().now();
-  content.ChargeTreeStep();
-  EXPECT_GT(machine.clock().now(), t2);
+  EXPECT_GT(t2, t1);
+  content.ChargeTreeDescend(5);
+  const SimTime t3 = machine.clock().now();
+  EXPECT_GT(t3, t2);
+  // An empty tree costs no descent at all.
+  content.ChargeTreeDescend(0);
+  EXPECT_EQ(machine.clock().now(), t3);
 }
 
 TEST(DeferredFreeQueueTest, DrainReleasesToSinkAndCountsDummies) {

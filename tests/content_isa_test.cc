@@ -1,7 +1,7 @@
-// Property tests for the ISA-dispatched content primitives: every compiled
-// implementation must compute the exact same hash, three-way compare, and
-// zero verdict as an independently written scalar reference, over random,
-// zero, pattern, CoW-aliased, and boundary-byte-differing pages.
+// Property tests for the content primitives: the one implementation must
+// compute the exact same hash, three-way compare, and zero verdict as
+// independently written byte-loop references, over random, zero, pattern,
+// CoW-aliased, and boundary-byte-differing pages.
 
 #include "src/phys/content_isa.h"
 
@@ -46,19 +46,24 @@ std::uint64_t RefHash(const std::uint8_t* page) {
   return h;
 }
 
+// Byte loops, so the references share no code with the memcmp-based
+// implementation.
 int RefCompare(const std::uint8_t* a, const std::uint8_t* b) {
-  const int c = std::memcmp(a, b, kPageSize);
-  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  for (std::size_t i = 0; i < kPageSize; ++i) {
+    if (a[i] != b[i]) {
+      return a[i] < b[i] ? -1 : 1;
+    }
+  }
+  return 0;
 }
 
-std::vector<const ContentOps*> CompiledOps() {
-  std::vector<const ContentOps*> ops;
-  ops.push_back(&GetContentOps(ContentIsa::kScalar));
-  ops.push_back(&GetContentOps(ContentIsa::kWordwise));
-  // May be the wordwise fallback when AVX2 is compiled out or unsupported;
-  // testing the fallback twice is harmless.
-  ops.push_back(&GetContentOps(ContentIsa::kAvx2));
-  return ops;
+bool RefIsZero(const std::uint8_t* page) {
+  for (std::size_t i = 0; i < kPageSize; ++i) {
+    if (page[i] != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Page RandomPage(Rng& rng) {
@@ -74,10 +79,7 @@ TEST(ContentIsaTest, HashMatchesReferenceOnRandomPages) {
   Rng rng(0xc0471501);
   for (int iter = 0; iter < 64; ++iter) {
     const Page p = RandomPage(rng);
-    const std::uint64_t want = RefHash(p.data());
-    for (const ContentOps* ops : CompiledOps()) {
-      EXPECT_EQ(ops->hash_page(p.data()), want) << ops->name;
-    }
+    EXPECT_EQ(HashPage(p.data()), RefHash(p.data()));
   }
 }
 
@@ -85,6 +87,7 @@ TEST(ContentIsaTest, HashOfZeroAndPatternPages) {
   Page zero{};
   const std::uint64_t zero_want = RefHash(zero.data());
   EXPECT_EQ(ZeroPageHash(), zero_want);
+  EXPECT_EQ(HashPage(zero.data()), zero_want);
   Page pattern;
   for (const std::uint64_t seed : {0ULL, 1ULL, 0xdeadbeefULL, ~0ULL}) {
     ExpandPattern(seed, pattern.data());
@@ -94,11 +97,7 @@ TEST(ContentIsaTest, HashOfZeroAndPatternPages) {
       std::memcpy(&word, pattern.data() + w * 8, 8);
       ASSERT_EQ(word, PatternWord(seed, w));
     }
-    const std::uint64_t want = RefHash(pattern.data());
-    for (const ContentOps* ops : CompiledOps()) {
-      EXPECT_EQ(ops->hash_page(zero.data()), zero_want) << ops->name;
-      EXPECT_EQ(ops->hash_page(pattern.data()), want) << ops->name;
-    }
+    EXPECT_EQ(HashPage(pattern.data()), RefHash(pattern.data()));
   }
 }
 
@@ -107,13 +106,11 @@ TEST(ContentIsaTest, CompareMatchesMemcmpIncludingBoundaryBytes) {
   const Page base = RandomPage(rng);
   // CoW-aliased case: identical buffers (and literally the same buffer).
   Page equal = base;
-  for (const ContentOps* ops : CompiledOps()) {
-    EXPECT_EQ(ops->compare_pages(base.data(), equal.data()), 0) << ops->name;
-    EXPECT_EQ(ops->compare_pages(base.data(), base.data()), 0) << ops->name;
-    EXPECT_EQ(ops->hash_page(base.data()), ops->hash_page(equal.data())) << ops->name;
-  }
-  // Single-byte differences at every lane/vector boundary the kernels care
-  // about: first/last byte, SIMD-width edges, word edges, and random offsets.
+  EXPECT_EQ(ComparePages(base.data(), equal.data()), 0);
+  EXPECT_EQ(ComparePages(base.data(), base.data()), 0);
+  EXPECT_EQ(HashPage(base.data()), HashPage(equal.data()));
+  // Single-byte differences at the first/last byte, word and vector-width
+  // edges, and random offsets.
   std::vector<std::size_t> offsets = {0,    1,    7,    8,    15,   16,  31,
                                       32,   63,   64,   255,  256,  511, 2047,
                                       2048, 4064, 4088, 4094, 4095};
@@ -126,39 +123,22 @@ TEST(ContentIsaTest, CompareMatchesMemcmpIncludingBoundaryBytes) {
       mutated[off] = static_cast<std::uint8_t>(mutated[off] + delta);
       const int want = RefCompare(base.data(), mutated.data());
       ASSERT_NE(want, 0);
-      for (const ContentOps* ops : CompiledOps()) {
-        EXPECT_EQ(ops->compare_pages(base.data(), mutated.data()), want)
-            << ops->name << " offset " << off;
-        EXPECT_EQ(ops->compare_pages(mutated.data(), base.data()), -want)
-            << ops->name << " offset " << off;
-        EXPECT_NE(ops->hash_page(mutated.data()), ops->hash_page(base.data()))
-            << ops->name << " offset " << off;
-      }
+      EXPECT_EQ(ComparePages(base.data(), mutated.data()), want) << "offset " << off;
+      EXPECT_EQ(ComparePages(mutated.data(), base.data()), -want) << "offset " << off;
+      EXPECT_NE(HashPage(mutated.data()), HashPage(base.data())) << "offset " << off;
     }
   }
 }
 
 TEST(ContentIsaTest, IsZeroDetectsEverySingleBitPage) {
   Page page{};
-  for (const ContentOps* ops : CompiledOps()) {
-    EXPECT_TRUE(ops->is_zero(page.data())) << ops->name;
+  EXPECT_TRUE(IsZeroPage(page.data()));
+  EXPECT_EQ(IsZeroPage(page.data()), RefIsZero(page.data()));
+  for (std::size_t bit = 0; bit < kPageSize * 8; ++bit) {
+    page[bit / 8] = static_cast<std::uint8_t>(1u << (bit % 8));
+    ASSERT_EQ(IsZeroPage(page.data()), RefIsZero(page.data())) << "bit " << bit;
+    page[bit / 8] = 0;
   }
-  for (const std::size_t off :
-       {std::size_t{0}, std::size_t{31}, std::size_t{32}, std::size_t{2048},
-        std::size_t{4095}}) {
-    page[off] = 1;
-    for (const ContentOps* ops : CompiledOps()) {
-      EXPECT_FALSE(ops->is_zero(page.data())) << ops->name << " offset " << off;
-    }
-    page[off] = 0;
-  }
-}
-
-TEST(ContentIsaTest, DispatchTablesAreConsistent) {
-  const ContentOps& active = ActiveContentOps();
-  EXPECT_STREQ(active.name, ContentIsaName(active.isa));
-  EXPECT_EQ(GetContentOps(ContentIsa::kScalar).isa, ContentIsa::kScalar);
-  EXPECT_EQ(GetContentOps(ContentIsa::kWordwise).isa, ContentIsa::kWordwise);
 }
 
 }  // namespace

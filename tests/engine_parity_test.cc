@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "src/chaos/invariant_auditor.h"
 #include "src/fusion/engine_factory.h"
+#include "src/fusion/ksm.h"
 #include "src/host/thread_pool.h"
 #include "src/kernel/process.h"
+#include "src/phys/content_isa.h"
 
 namespace vusion {
 namespace {
@@ -149,17 +154,83 @@ INSTANTIATE_TEST_SUITE_P(
                       ParityParam{EngineKind::kVUsionThp, 1}),
     ParamName);
 
-// --- Fingerprint-ordering parity ---
+// --- Exact merge oracle ---
 //
-// The fusion trees are ordered by (cached content hash, bytes-on-collision); the
-// FusionConfig::byte_ordered_trees ablation restores the reference raw-memcmp
-// ordering. The two orderings are a host-side implementation detail: every
-// simulated statistic and every charged latency must be bit-identical. The clock
-// comparison is the strong probe — daemon wake-ups reschedule relative to the
-// charged time, so any divergence in the charge (or noise-RNG) stream shows up in
-// the final simulated timestamp.
+// Fusion saves exactly one frame per duplicate page. On a scenario of idle VMs
+// that are never written after setup, every engine must end up saving
+// sum(|group| - 1) frames over the groups of byte-identical pages. The test
+// groups the pages itself — each pattern expanded into bytes, grouped by a
+// std::map on the bytes — so no page hash is involved on the oracle side.
 
-struct FingerprintResult {
+class MergeOracleTest : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(MergeOracleTest, FramesSavedMatchByteGroups) {
+  const EngineKind kind = GetParam();
+  MachineConfig machine_config;
+  machine_config.frame_count = 1u << 14;
+  machine_config.seed = 99;
+  Machine machine(machine_config);
+  FusionConfig fusion_config;
+  fusion_config.wake_period = 1 * kMillisecond;
+  fusion_config.pages_per_wake = 256;
+  fusion_config.pool_frames = 1024;
+  fusion_config.wpf_period = 20 * kMillisecond;
+  ScopedEngine engine(kind, machine, fusion_config);
+
+  // Cross-VM duplicates (every fourth page, 6 contents) and per-VM unique pages.
+  constexpr std::size_t kVms = 3;
+  constexpr std::size_t kPages = 128;
+  using PageBytes = std::array<std::uint8_t, kPageSize>;
+  std::map<PageBytes, std::vector<std::pair<const Process*, Vpn>>> groups;
+  for (std::size_t p = 0; p < kVms; ++p) {
+    Process& proc = machine.CreateProcess();
+    const Vpn base = VaddrToVpn(proc.AllocateRegion(kPages, PageType::kAnonymous, true, false));
+    for (std::size_t i = 0; i < kPages; ++i) {
+      const std::uint64_t seed = i % 4 == 0 ? 0x4400 + (i % 24) : 0x880000 + p * 4096 + i;
+      proc.SetupMapPattern(base + i, seed);
+      PageBytes bytes;
+      ExpandPattern(seed, bytes.data());
+      groups[bytes].emplace_back(&proc, base + i);
+    }
+  }
+  std::uint64_t want_saved = 0;
+  for (const auto& [bytes, pages] : groups) {
+    want_saved += pages.size() - 1;
+  }
+  ASSERT_EQ(want_saved, 90u);  // 96 duplicate pages in 6 contents
+
+  machine.Idle(300 * kMillisecond);
+
+  EXPECT_EQ(engine->frames_saved(), want_saved);
+  if (const auto* ksm = dynamic_cast<const Ksm*>(engine.get()); ksm != nullptr) {
+    for (const auto& [bytes, pages] : groups) {
+      for (const auto& [proc, vpn] : pages) {
+        EXPECT_EQ(ksm->IsMerged(*proc, vpn), pages.size() >= 2) << "vpn " << vpn;
+      }
+    }
+  }
+  ExpectAuditClean(machine, engine.get());
+}
+
+INSTANTIATE_TEST_SUITE_P(FiveEngines, MergeOracleTest,
+                         ::testing::Values(EngineKind::kKsm, EngineKind::kKsmCoA,
+                                           EngineKind::kWpf, EngineKind::kVUsion,
+                                           EngineKind::kVUsionThp),
+                         [](const ::testing::TestParamInfo<EngineKind>& info) {
+                           std::string name = EngineKindName(info.param);
+                           for (char& c : name) {
+                             if (!std::isalnum(static_cast<unsigned char>(c))) {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
+
+// Every simulated statistic a scan scenario ends with, plus the final clock.
+// The clock is the strong probe: daemon wake-ups reschedule relative to the
+// charged time, so any divergence in the charge (or noise-RNG) stream shows up
+// in the final simulated timestamp.
+struct ScanOutcome {
   std::uint64_t pages_scanned = 0;
   std::uint64_t merges = 0;
   std::uint64_t fake_merges = 0;
@@ -171,89 +242,6 @@ struct FingerprintResult {
   SimTime final_time = 0;
 };
 
-FingerprintResult RunFingerprintScenario(EngineKind kind, bool byte_ordered) {
-  MachineConfig machine_config;
-  machine_config.frame_count = 1u << 14;
-  machine_config.seed = 99;
-  Machine machine(machine_config);
-  FusionConfig fusion_config;
-  fusion_config.wake_period = 1 * kMillisecond;
-  fusion_config.pages_per_wake = 256;
-  fusion_config.pool_frames = 1024;
-  fusion_config.wpf_period = 20 * kMillisecond;
-  fusion_config.byte_ordered_trees = byte_ordered;
-  ScopedEngine engine(kind, machine, fusion_config);
-
-  // Idle diverse VMs: cross-VM duplicates, per-VM unique pages, and some zero
-  // pages. No writes after setup, so the trees never go stale and both orderings
-  // must discover exactly the same matches.
-  constexpr std::size_t kVms = 3;
-  constexpr std::size_t kPages = 128;
-  for (std::size_t p = 0; p < kVms; ++p) {
-    Process& proc = machine.CreateProcess();
-    const VirtAddr base = proc.AllocateRegion(kPages, PageType::kAnonymous, true, false);
-    for (std::size_t i = 0; i < kPages; ++i) {
-      if (i % 4 == 0) {
-        proc.SetupMapPattern(VaddrToVpn(base) + i, 0x4400 + (i % 24));  // duplicates
-      } else {
-        proc.SetupMapPattern(VaddrToVpn(base) + i, 0x880000 + p * 4096 + i);  // unique
-      }
-    }
-  }
-  machine.Idle(300 * kMillisecond);
-
-  const FusionStats& stats = engine->stats();
-  FingerprintResult result;
-  result.pages_scanned = stats.pages_scanned;
-  result.merges = stats.merges;
-  result.fake_merges = stats.fake_merges;
-  result.unmerges_cow = stats.unmerges_cow;
-  result.unmerges_coa = stats.unmerges_coa;
-  result.zero_page_merges = stats.zero_page_merges;
-  result.full_scans = stats.full_scans;
-  result.frames_saved = engine->frames_saved();
-  result.final_time = machine.clock().now();
-  ExpectAuditClean(machine, engine.get());
-  return result;
-}
-
-class FingerprintParityTest : public ::testing::TestWithParam<EngineKind> {};
-
-TEST_P(FingerprintParityTest, HashAndByteOrderingsAreBitIdentical) {
-  const EngineKind kind = GetParam();
-  const FingerprintResult hashed = RunFingerprintScenario(kind, /*byte_ordered=*/false);
-  const FingerprintResult bytes = RunFingerprintScenario(kind, /*byte_ordered=*/true);
-
-  EXPECT_EQ(hashed.pages_scanned, bytes.pages_scanned);
-  EXPECT_EQ(hashed.merges, bytes.merges);
-  EXPECT_EQ(hashed.fake_merges, bytes.fake_merges);
-  EXPECT_EQ(hashed.unmerges_cow, bytes.unmerges_cow);
-  EXPECT_EQ(hashed.unmerges_coa, bytes.unmerges_coa);
-  EXPECT_EQ(hashed.zero_page_merges, bytes.zero_page_merges);
-  EXPECT_EQ(hashed.full_scans, bytes.full_scans);
-  EXPECT_EQ(hashed.frames_saved, bytes.frames_saved);
-  EXPECT_EQ(hashed.final_time, bytes.final_time);
-
-  // The scenario must actually exercise matching, not compare two no-ops.
-  if (kind != EngineKind::kMemoryCombining) {
-    EXPECT_GT(hashed.merges + hashed.fake_merges, 0u);
-    EXPECT_GT(hashed.frames_saved, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(KsmVUsionMc, FingerprintParityTest,
-                         ::testing::Values(EngineKind::kKsm, EngineKind::kVUsion,
-                                           EngineKind::kMemoryCombining),
-                         [](const ::testing::TestParamInfo<EngineKind>& info) {
-                           std::string name = EngineKindName(info.param);
-                           for (char& c : name) {
-                             if (!std::isalnum(static_cast<unsigned char>(c))) {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
-
 // --- Batched-vs-unbatched charge parity ---
 //
 // The scan loops batch their latency charges (one clock Advance per flush
@@ -263,7 +251,7 @@ INSTANTIATE_TEST_SUITE_P(KsmVUsionMc, FingerprintParityTest,
 // including across CoW unmerges, THP splits, and trace emits that read the
 // clock mid-scan.
 
-FingerprintResult RunBatchingScenario(EngineKind kind, bool batched) {
+ScanOutcome RunBatchingScenario(EngineKind kind, bool batched) {
   MachineConfig machine_config;
   machine_config.frame_count = 1u << 14;
   machine_config.seed = 7;
@@ -308,7 +296,7 @@ FingerprintResult RunBatchingScenario(EngineKind kind, bool batched) {
   machine.Idle(150 * kMillisecond);
 
   const FusionStats& stats = engine->stats();
-  FingerprintResult result;
+  ScanOutcome result;
   result.pages_scanned = stats.pages_scanned;
   result.merges = stats.merges;
   result.fake_merges = stats.fake_merges;
@@ -325,8 +313,8 @@ FingerprintResult RunBatchingScenario(EngineKind kind, bool batched) {
 class BatchingParityTest : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(BatchingParityTest, BatchedAndUnbatchedChargesAreBitIdentical) {
-  const FingerprintResult batched = RunBatchingScenario(GetParam(), /*batched=*/true);
-  const FingerprintResult unbatched = RunBatchingScenario(GetParam(), /*batched=*/false);
+  const ScanOutcome batched = RunBatchingScenario(GetParam(), /*batched=*/true);
+  const ScanOutcome unbatched = RunBatchingScenario(GetParam(), /*batched=*/false);
 
   EXPECT_EQ(batched.pages_scanned, unbatched.pages_scanned);
   EXPECT_EQ(batched.merges, unbatched.merges);
@@ -359,7 +347,7 @@ INSTANTIATE_TEST_SUITE_P(
 // races real invalidations (stale snapshots must be dropped, not installed).
 
 struct ThreadedResult {
-  FingerprintResult base;
+  ScanOutcome base;
   std::vector<TraceEvent> trace;
 };
 

@@ -5,17 +5,15 @@ Usage: bench_diff.py BASELINE CANDIDATE [--regress-pct PCT] [--table NAME ...]
 
 Compares the *ratio* tables of two schema-version-1 artifacts emitted by
 bench::Reporter (see tools/check_bench_json.py for the shape). Ratios —
-fingerprint-vs-byte-ordered speedup, parallel scan speedup, and the headline
-values — are stable across machines and across
---quick/full runs, unlike absolute page counts or wall seconds, so they are
-the only values this tool judges. A candidate cell more than --regress-pct
+parallel scan speedup, fleet speedup, and the headline values — are stable
+across machines and across --quick/full runs, unlike absolute page counts or
+wall seconds, so they are the only values this tool judges. A candidate cell more than --regress-pct
 percent below the baseline cell is a regression (all ratio metrics here are
 higher-is-better); a baseline row missing from the candidate is a coverage
 regression. Either exits non-zero.
 
 Rows are matched by table-specific key fields:
 
-    speedup           keyed by (engine)
     parallel_speedup  keyed by (engine, threads)
     fleet_speedup     keyed by (threads)
     headlines         keyed by (name)
@@ -36,7 +34,6 @@ import sys
 # Ratio tables and the fields identifying a row within each. Every other
 # numeric field in a row (except "target") is a higher-is-better ratio.
 RATIO_TABLES = {
-    "speedup": ("engine",),
     "parallel_speedup": ("engine", "threads"),
     "fleet_speedup": ("threads",),
     "headlines": ("name",),

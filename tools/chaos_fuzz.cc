@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/chaos/fuzz_campaign.h"
+#include "src/host/thread_pool.h"
 
 namespace {
 
@@ -40,7 +41,8 @@ void PrintUsage() {
          "  --seed N          first campaign seed (default 1)\n"
          "  --seeds N         number of consecutive seeds to run (default 1)\n"
          "  --steps N         workload events per campaign (default 400)\n"
-         "  --threads N       engine scan threads (default 1)\n"
+         "  --threads N       engine scan threads, at most "
+      << vusion::host::ThreadPool::kMaxThreads << " (default 1)\n"
          "  --rate R          per-visit injection probability (default 0.01)\n"
          "  --audit-epoch N   audit every N events (default 1 = slow mode)\n"
          "  --fast-audit      shorthand for --audit-epoch 16\n"
@@ -96,7 +98,10 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
       if ((value = need_value(i)) == nullptr) {
         return false;
       }
-      cli.campaign.scan_threads = std::strtoull(value, nullptr, 10);
+      if (!vusion::ParseScanThreads(value, cli.campaign.scan_threads)) {
+        std::cerr << "bad --threads value: " << value << "\n";
+        return false;
+      }
     } else if (arg == "--rate") {
       if ((value = need_value(i)) == nullptr) {
         return false;

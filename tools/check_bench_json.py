@@ -145,7 +145,7 @@ def check_host_artifact(doc, path):
     """Host-throughput shape: the streaming pipeline's overlap columns must be
     present and numeric in every thread-sweep row."""
     tables = doc["tables"]
-    for name in ("runs", "speedup", "threads_sweep", "headlines"):
+    for name in ("runs", "threads_sweep", "headlines"):
         expect(name in tables and tables[name], f"{path}.tables",
                f"host artifact missing table {name!r}")
     for i, row in enumerate(tables["threads_sweep"]):

@@ -23,7 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "src/chaos/fuzz_campaign.h"  // engine token parsing
+#include "src/chaos/fuzz_campaign.h"  // engine token and thread-count parsing
+#include "src/host/thread_pool.h"
 #include "src/kernel/process.h"
 #include "src/snapshot/machine_snapshot.h"
 
@@ -61,7 +62,8 @@ void PrintUsage() {
          "    --engine TOK   ksm|wpf|vusion|vusion-thp|ksm-coa|ksm-zero|none\n"
          "    --seed N       machine + workload seed (default 1)\n"
          "    --steps N      workload events before saving (default 300)\n"
-         "    --threads N    engine scan threads (default 1)\n"
+         "    --threads N    engine scan threads, at most "
+      << vusion::host::ThreadPool::kMaxThreads << " (default 1)\n"
          "    --idle MS      extra idle after the workload (default 0)\n"
          "    --out FILE     write the snapshot here\n"
          "    --stats FILE   write a run-summary report here\n"
@@ -115,7 +117,10 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
       if ((value = need_value(i)) == nullptr) {
         return false;
       }
-      cli.threads = std::strtoull(value, nullptr, 10);
+      if (!vusion::ParseScanThreads(value, cli.threads)) {
+        std::cerr << "bad --threads value: " << value << "\n";
+        return false;
+      }
     } else if (arg == "--in") {
       if ((value = need_value(i)) == nullptr) {
         return false;
