@@ -197,6 +197,9 @@ void FusionEngine::RestoreCommon(snapshot::SnapshotReader& r) {
   }
   next_run_ = r.U64();
   paused_ = r.Bool();
+  // Install ran before this restore, so the machine's cached earliest deadline
+  // predates next_run_.
+  machine_->DaemonDeadlinesMoved();
 }
 
 }  // namespace vusion

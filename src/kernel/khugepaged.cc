@@ -139,6 +139,9 @@ void Khugepaged::RestoreState(snapshot::SnapshotReader& r) {
   range_cursor_ = r.U64();
   collapses_ = r.U64();
   attempts_ = r.U64();
+  // EnableKhugepaged registered the daemon before this restore, so the
+  // machine's cached earliest deadline predates next_run_.
+  machine_->DaemonDeadlinesMoved();
 }
 
 }  // namespace vusion

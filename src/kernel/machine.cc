@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -168,6 +169,7 @@ void Machine::DestroyProcess(Process& process) {
 
 void Machine::RemoveDaemon(Daemon* daemon) {
   daemons_.erase(std::remove(daemons_.begin(), daemons_.end(), daemon), daemons_.end());
+  DaemonDeadlinesMoved();
 }
 
 Khugepaged& Machine::EnableKhugepaged(const KhugepagedConfig& config) {
@@ -183,7 +185,7 @@ void Machine::FlushFrame(FrameId frame) {
   llc_->FlushFrame(frame);
 }
 
-void Machine::RunDueDaemons() {
+void Machine::RunDueDaemonsSlow() {
   if (in_daemon_) {
     return;
   }
@@ -198,10 +200,21 @@ void Machine::RunDueDaemons() {
       }
     }
   }
+  SimTime next = std::numeric_limits<SimTime>::max();
+  for (const Daemon* d : daemons_) {
+    next = std::min(next, d->next_run());
+  }
+  next_daemon_due_ = next;
   in_daemon_ = false;
 }
 
 void Machine::Idle(SimTime duration) {
+  if (in_daemon_) {
+    // A daemon cannot re-enter, so the due daemon that is running now would
+    // stay due and the loop below would never advance the clock.
+    clock_.Advance(duration);
+    return;
+  }
   const SimTime end = clock_.now() + duration;
   while (clock_.now() < end) {
     SimTime next = end;

@@ -116,17 +116,33 @@ class Machine {
 
   void SetSharingPolicy(SharingPolicy* policy) { policy_ = policy; }
   [[nodiscard]] SharingPolicy* sharing_policy() { return policy_; }
-  void AddDaemon(Daemon* daemon) { daemons_.push_back(daemon); }
+  void AddDaemon(Daemon* daemon) {
+    daemons_.push_back(daemon);
+    DaemonDeadlinesMoved();
+  }
   void RemoveDaemon(Daemon* daemon);
   // Enables the khugepaged daemon (off by default; benches opt in per config).
   Khugepaged& EnableKhugepaged(const KhugepagedConfig& config);
   [[nodiscard]] Khugepaged* khugepaged() { return khugepaged_.get(); }
 
   // Runs every daemon whose deadline has passed. Called automatically after each
-  // timed access and throughout Idle().
-  void RunDueDaemons();
+  // timed access and throughout Idle(). Inline: most calls find no daemon due
+  // and cost one compare against the cached earliest deadline.
+  void RunDueDaemons() {
+    if (clock_.now() >= next_daemon_due_) {
+      RunDueDaemonsSlow();
+    }
+  }
 
-  // Advances virtual time, running daemons at their deadlines.
+  // Must be called whenever a registered daemon's deadline may have moved
+  // earlier outside its own Run() (snapshot restore sets deadlines after
+  // Install). Drops the cached earliest deadline, so the next RunDueDaemons
+  // rescans every daemon.
+  void DaemonDeadlinesMoved() { next_daemon_due_ = 0; }
+
+  // Advances virtual time, running daemons at their deadlines. Called from
+  // inside a daemon (a phase hook, say), it advances the clock by `duration`
+  // without running any daemon: daemons do not re-enter.
   void Idle(SimTime duration);
 
   // --- Timed memory access path (used by Process) ---
@@ -204,6 +220,9 @@ class Machine {
   void HandleFault(Process& process, const PageFault& fault);
   DefaultFaultOutcome HandleFaultDefault(Process& process, const PageFault& fault);
   void ChargedDataAccess(const Pte& pte, PhysAddr paddr);
+  // RunDueDaemons' loop: runs due daemons until none is due, then caches the
+  // earliest deadline.
+  void RunDueDaemonsSlow();
 
   MachineConfig config_;
   VirtualClock clock_;
@@ -219,6 +238,12 @@ class Machine {
   std::vector<std::unique_ptr<Process>> processes_;
   SharingPolicy* policy_ = nullptr;
   std::vector<Daemon*> daemons_;
+  // Earliest next_run() over daemons_ as of the last RunDueDaemonsSlow. It may
+  // be stale-low (a deadline moved later, or a daemon left), which costs one
+  // extra pass over the daemons; it is never stale-high, because every change
+  // outside RunDueDaemonsSlow that can move a deadline earlier resets it to 0
+  // (DaemonDeadlinesMoved).
+  SimTime next_daemon_due_ = 0;
   std::unique_ptr<Khugepaged> khugepaged_;
   std::unique_ptr<host::ThreadPool> host_pool_;
   std::unique_ptr<FaultInjector> chaos_;

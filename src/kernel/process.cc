@@ -100,14 +100,6 @@ bool Process::SetupMapHugeSeeds(Vpn base_vpn, std::span<const std::uint64_t> see
 
 void Process::SetupUnmap(Vpn vpn) { machine_->UnmapAndFree(*this, vpn); }
 
-std::uint64_t Process::Read64(VirtAddr vaddr) {
-  return machine_->Access(*this, vaddr, AccessType::kRead, 0).value;
-}
-
-void Process::Write64(VirtAddr vaddr, std::uint64_t value) {
-  machine_->Access(*this, vaddr, AccessType::kWrite, value);
-}
-
 SimTime Process::TimedRead(VirtAddr vaddr) {
   return machine_->Access(*this, vaddr, AccessType::kRead, 0).latency;
 }

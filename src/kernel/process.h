@@ -53,8 +53,13 @@ class Process {
 
   // --- Timed accesses (drive the clock, the cache, DRAM, and page faults) ---
 
-  std::uint64_t Read64(VirtAddr vaddr);
-  void Write64(VirtAddr vaddr, std::uint64_t value);
+  // Inline: the workload loops issue tens of millions of these.
+  std::uint64_t Read64(VirtAddr vaddr) {
+    return machine_->Access(*this, vaddr, AccessType::kRead, 0).value;
+  }
+  void Write64(VirtAddr vaddr, std::uint64_t value) {
+    machine_->Access(*this, vaddr, AccessType::kWrite, value);
+  }
   // Same, returning the access latency (what attacker rdtsc loops measure).
   SimTime TimedRead(VirtAddr vaddr);
   SimTime TimedWrite(VirtAddr vaddr, std::uint64_t value);

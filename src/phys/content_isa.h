@@ -5,8 +5,12 @@
 // 64-bit words, striped across 8 independent FNV-1a lanes (lane i absorbs words
 // i, i+8, i+16, ...), and the lanes are folded through a SplitMix64 finalizer
 // into one 64-bit digest. The digest is a property of the page bytes, never of
-// the host CPU. Nothing simulated depends on concrete hash values, only on
-// equal contents hashing equal.
+// the host CPU. KSM and VUsion depend only on equal contents hashing equal:
+// their trees sort by hash on the host and charge by tree size. WPF depends on
+// the concrete values: each pass sorts its candidates by hash and picks one of
+// 16 trees by hash % 16, so its merge order and charged descent sizes follow
+// the hash. Changing the hash therefore changes WPF's simulated output, and
+// ContentIsaTest.HashGoldenValues pins it.
 //
 // Compare and the zero test are std::memcmp (against a static zero page for
 // the latter): glibc's memcmp outruns hand-written scalar, wordwise and AVX2

@@ -160,7 +160,7 @@ void PhysicalMemory::WriteBytes(FrameId f, std::size_t offset,
   NoteMutation(f);
 }
 
-void PhysicalMemory::WriteU64(FrameId f, std::size_t offset, std::uint64_t value) {
+void PhysicalMemory::WriteU64Slow(FrameId f, std::size_t offset, std::uint64_t value) {
   std::uint8_t raw[8];
   std::memcpy(raw, &value, 8);
   WriteBytes(f, offset, raw);
@@ -179,30 +179,19 @@ std::uint8_t PhysicalMemory::ByteAt(FrameId f, std::size_t offset) const {
   return 0;
 }
 
-std::uint64_t PhysicalMemory::ReadU64(FrameId f, std::size_t offset) const {
-  assert(offset + 8 <= kPageSize);
-  const Frame& fr = frames_[f];
-  switch (fr.kind) {
-    case ContentKind::kBytes: {
-      std::uint64_t value = 0;
-      std::memcpy(&value, fr.bytes->data() + offset, 8);
-      return value;
-    }
-    case ContentKind::kPattern: {
-      // The pattern stream is little-endian words: an aligned read is one
-      // word, an unaligned one splices the tail of word w onto the head of w+1.
-      const std::size_t word = offset / 8;
-      const unsigned shift = 8 * (offset % 8);
-      const std::uint64_t low = PatternWord(fr.pattern_seed, word);
-      if (shift == 0) {
-        return low;
-      }
-      return (low >> shift) | (PatternWord(fr.pattern_seed, word + 1) << (64 - shift));
-    }
-    case ContentKind::kZero:
-      break;
+std::uint64_t PhysicalMemory::ReadU64Closed(const Frame& fr, std::size_t offset) {
+  if (fr.kind == ContentKind::kZero) {
+    return 0;
   }
-  return 0;
+  // The pattern stream is little-endian words: an aligned read is one word, an
+  // unaligned one splices the tail of word w onto the head of w+1.
+  const std::size_t word = offset / 8;
+  const unsigned shift = 8 * (offset % 8);
+  const std::uint64_t low = PatternWord(fr.pattern_seed, word);
+  if (shift == 0) {
+    return low;
+  }
+  return (low >> shift) | (PatternWord(fr.pattern_seed, word + 1) << (64 - shift));
 }
 
 std::uint8_t PhysicalMemory::ReadByte(FrameId f, std::size_t offset) const {

@@ -5,7 +5,9 @@
 #ifndef VUSION_SRC_PHYS_PHYSICAL_MEMORY_H_
 #define VUSION_SRC_PHYS_PHYSICAL_MEMORY_H_
 
+#include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <shared_mutex>
 #include <span>
 #include <unordered_map>
@@ -59,8 +61,31 @@ class PhysicalMemory {
 
   // Byte write; materializes pattern/zero frames.
   void WriteBytes(FrameId f, std::size_t offset, std::span<const std::uint8_t> data);
-  void WriteU64(FrameId f, std::size_t offset, std::uint64_t value);
-  [[nodiscard]] std::uint64_t ReadU64(FrameId f, std::size_t offset) const;
+  // The timed access path's content write and read. Inline for the common
+  // case, a materialized frame (and, for a write, a buffer no other frame
+  // aliases while no streaming scan is live); every other case goes out of
+  // line to WriteBytes or the closed-form zero/pattern read.
+  void WriteU64(FrameId f, std::size_t offset, std::uint64_t value) {
+    assert(offset + 8 <= kPageSize);
+    Frame& fr = frames_[f];
+    if (fr.kind == ContentKind::kBytes && !streaming_scan_ && fr.bytes.use_count() == 1) {
+      std::memcpy(fr.bytes->data() + offset, &value, 8);
+      ++fr.content_gen;
+      NoteMutation(f);
+      return;
+    }
+    WriteU64Slow(f, offset, value);
+  }
+  [[nodiscard]] std::uint64_t ReadU64(FrameId f, std::size_t offset) const {
+    assert(offset + 8 <= kPageSize);
+    const Frame& fr = frames_[f];
+    if (fr.kind == ContentKind::kBytes) {
+      std::uint64_t value;
+      std::memcpy(&value, fr.bytes->data() + offset, 8);
+      return value;
+    }
+    return ReadU64Closed(fr, offset);
+  }
   [[nodiscard]] std::uint8_t ReadByte(FrameId f, std::size_t offset) const;
 
   // Copies src's full contents to dst (the copy-on-write/copy-on-access primitive).
@@ -205,6 +230,9 @@ class PhysicalMemory {
   };
 
   [[nodiscard]] std::uint64_t HashContentSlow(FrameId f) const;
+  void WriteU64Slow(FrameId f, std::size_t offset, std::uint64_t value);
+  // ReadU64 of a zero or pattern frame.
+  [[nodiscard]] static std::uint64_t ReadU64Closed(const Frame& fr, std::size_t offset);
   void Materialize(FrameId f);
   // Clones the frame's buffer if it is CoW-aliased with another frame; every
   // mutator of materialized bytes must call this before writing.

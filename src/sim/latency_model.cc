@@ -200,6 +200,7 @@ void LatencyModel::RefillNoise() {
       factor_[i] = std::exp(sigma * gauss_[i]);
     }
     fast_sigma_ = std::numeric_limits<double>::quiet_NaN();
+    unit_sigma_ = fast_sigma_;
     return;
   }
   for (int j = 0; j < kNoisePairs; ++j) {
@@ -208,6 +209,9 @@ void LatencyModel::RefillNoise() {
   static const NoiseKernel kernel = SelectNoiseKernel();
   kernel(u1_, u2_, sigma, approx_);
   fast_sigma_ = sigma;
+  unit_sigma_ = std::exp(sigma * kMaxAbsGaussian) < 1.5
+                    ? sigma
+                    : std::numeric_limits<double>::quiet_NaN();
 }
 
 LatencyModel::NoiseCacheState LatencyModel::noise_cache_state() const {
@@ -240,6 +244,7 @@ void LatencyModel::RestoreNoiseState(const Rng::State& rng, const NoiseCacheStat
   factor_sigma_ = cache.factor_sigma;
   noise_pos_ = cache.noise_pos;
   fast_sigma_ = std::numeric_limits<double>::quiet_NaN();
+  unit_sigma_ = fast_sigma_;
 }
 
 const char* LatencyModel::NoiseCacheState::Damage() const {

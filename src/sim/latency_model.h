@@ -63,6 +63,9 @@ class LatencyModel {
   // Largest sigma the batch kernel runs under: |sigma * g| <= 64 * 8.58 keeps
   // its exp far from overflow. Larger sigmas draw exact batches.
   static constexpr double kMaxFastSigma = 64.0;
+  // Bound on every Box-Muller gaussian: u1 >= 2^-53 (NextDouble's grid), so
+  // |g| <= sqrt(-2 ln 2^-53) = 8.5725.
+  static constexpr double kMaxAbsGaussian = 8.6;
 
   // The guard on the batch kernel's approximate noisy values. Error budget:
   // over 6.4 M draws the kernel's factor was within 2.2e-16 (relative) of
@@ -115,9 +118,14 @@ class LatencyModel {
         RefillNoise();
       }
       const int i = noise_pos_++;
-      cost = sigma == fast_sigma_ ? RoundOutsideGuard(static_cast<double>(base) * approx_[i]) : 0;
-      if (cost == 0) {
-        cost = ExactNoisyCost(base, i);
+      if (base == 1 && sigma == unit_sigma_) {
+        cost = 1;  // the draw is spent, but every factor rounds to 1
+      } else {
+        cost = sigma == fast_sigma_ ? RoundOutsideGuard(static_cast<double>(base) * approx_[i])
+                                    : 0;
+        if (cost == 0) {
+          cost = ExactNoisyCost(base, i);
+        }
       }
     }
     if (batching()) {
@@ -228,6 +236,11 @@ class LatencyModel {
   // Sigma approx_ was computed with, or NaN while the batch is exact, so that
   // no sigma selects the fast path.
   double fast_sigma_ = std::numeric_limits<double>::quiet_NaN();
+  // fast_sigma_ when exp(fast_sigma_ * kMaxAbsGaussian) < 1.5, else NaN. Under
+  // that sigma every factor lies in (2/3, 1.5), so a 1 ns charge costs exactly
+  // 1 whatever its draw: the access path's tlb_lookup skips the factor load
+  // and the rounding guard.
+  double unit_sigma_ = std::numeric_limits<double>::quiet_NaN();
   double factor_sigma_ = -1.0;  // sigma the batch's factors were computed with
   double approx_[kNoiseBatch] = {};  // fast batch: kernel factors
   double u1_[kNoisePairs] = {};      // fast batch: Box-Muller uniforms

@@ -83,6 +83,20 @@ TEST(ContentIsaTest, HashMatchesReferenceOnRandomPages) {
   }
 }
 
+// Golden values. WPF sorts candidates by hash and picks its tree by
+// hash % 16, so its simulated output (merge order, charged descent sizes,
+// the clock) follows the concrete hash: a hash change must fail here rather
+// than quietly move WPF's numbers.
+TEST(ContentIsaTest, HashGoldenValues) {
+  Page page{};
+  EXPECT_EQ(HashPage(page.data()), 0x457ffa8bbffe03c1ULL);
+  EXPECT_EQ(ZeroPageHash(), 0x457ffa8bbffe03c1ULL);
+  ExpandPattern(0x9000, page.data());
+  EXPECT_EQ(HashPage(page.data()), 0x131334dc7254d60aULL);
+  page.fill(0xa5);
+  EXPECT_EQ(HashPage(page.data()), 0x56dd39bdd02d908eULL);
+}
+
 TEST(ContentIsaTest, HashOfZeroAndPatternPages) {
   Page zero{};
   const std::uint64_t zero_want = RefHash(zero.data());

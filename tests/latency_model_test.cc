@@ -218,7 +218,7 @@ std::vector<NoiseOp> NoiseStream(std::uint64_t seed, double sigma, std::size_t n
   constexpr SimTime kBases[] = {0,    1,     4,    14,   60,    110,
                                 350,  600,   950,  1400, 12000, SimTime{1} << 20,
                                 SimTime{1} << 28, SimTime{1} << 45};
-  constexpr double kSigmas[] = {0.0, 0.01, 0.04, 0.1, 0.5, 2.0};
+  constexpr double kSigmas[] = {0.0, 0.01, 0.04, 0.047, 0.048, 0.1, 0.5, 2.0};
   Rng rng(seed);
   std::vector<NoiseOp> ops;
   for (std::size_t i = 0; i < n; ++i) {
@@ -248,7 +248,7 @@ TEST(LatencyModelTest, FastNoiseMatchesLibmReferenceBitForBit) {
   constexpr std::size_t kOps = 200;
   constexpr std::size_t kContinue = kBatch + 6;  // crosses the next refill
   std::uint64_t seed = 0;
-  for (const double sigma : {0.01, 0.04, 0.1, 0.5, 2.0}) {
+  for (const double sigma : {0.01, 0.04, 0.047, 0.048, 0.1, 0.5, 2.0}) {
     for (const bool batching : {false, true}) {
       for (const bool spare : {false, true}) {
         ++seed;
@@ -291,6 +291,46 @@ TEST(LatencyModelTest, FastNoiseMatchesLibmReferenceBitForBit) {
           }
           ASSERT_EQ(NoiseStateDiff(fresh, forked), "") << "restored at op " << n;
         }
+      }
+    }
+  }
+}
+
+// Under a fast batch whose sigma has exp(sigma * kMaxAbsGaussian) < 1.5, a
+// 1 ns charge costs 1 without reading its factor. Base 1 at the edge of that
+// bound (0.047 inside, 0.048 outside) and after mid-batch sigma changes
+// across it and far past it must match the always-libm reference, with the
+// draw spent, at every position.
+TEST(LatencyModelTest, UnitChargesMatchReferenceAcrossTheBound) {
+  EXPECT_LT(std::sqrt(-2.0 * std::log(0x1p-53)), LatencyModel::kMaxAbsGaussian);
+  EXPECT_LT(std::exp(0.047 * LatencyModel::kMaxAbsGaussian), 1.5);
+  EXPECT_GT(std::exp(0.048 * LatencyModel::kMaxAbsGaussian), 1.5);
+  constexpr double kSwitchTo[] = {0.04, 0.047, 0.048, 0.5, 2.0};
+  constexpr SimTime kOtherBases[] = {2, 4, 14, 110};
+  for (const double sigma : {0.047, 0.048}) {
+    for (const bool batching : {false, true}) {
+      SCOPED_TRACE("sigma " + std::to_string(sigma) + (batching ? " batched" : ""));
+      Rng ops(sigma < 0.0475 ? 31 : 32);
+      LatencyConfig config;
+      config.noise_sigma = sigma;
+      VirtualClock clock;
+      LatencyModel model(config, clock, Rng(77));
+      model.set_batching_enabled(batching);
+      ReferenceNoise ref(Rng(77));
+      ChargeSpan span(model);
+      double current = sigma;
+      for (int n = 0; n < 20 * kBatch; ++n) {
+        // Mostly the batch's own sigma; now and then a switch mid-batch.
+        if (n % kBatch == 40) {
+          current = kSwitchTo[ops.NextBelow(std::size(kSwitchTo))];
+        } else if (n % kBatch == 52) {
+          current = sigma;
+        }
+        const SimTime base =
+            ops.NextBelow(4) != 0 ? 1 : kOtherBases[ops.NextBelow(std::size(kOtherBases))];
+        model.mutable_config().noise_sigma = current;
+        ASSERT_EQ(model.Charge(base), ref.Charge(base, current)) << "op " << n;
+        ASSERT_EQ(NoiseStateDiff(model, ref), "") << "op " << n;
       }
     }
   }

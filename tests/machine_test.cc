@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "src/fusion/ksm.h"
 #include "src/kernel/process.h"
 
 namespace vusion {
@@ -240,6 +242,134 @@ TEST(MachineTest, IdleRunsDaemonsAtDeadlines) {
   const int runs = daemon.runs;
   machine.Idle(50 * kMillisecond);
   EXPECT_EQ(daemon.runs, runs);
+}
+
+namespace daemon_test {
+
+// A daemon whose deadline the test sets, recording the clock at each run.
+class ScheduledDaemon final : public Daemon {
+ public:
+  ScheduledDaemon(Machine& machine, SimTime deadline)
+      : machine_(&machine), next_(deadline) {}
+  [[nodiscard]] SimTime next_run() const override { return next_; }
+  void Run() override {
+    runs.push_back(machine_->clock().now());
+    next_ = kNever;
+  }
+  void set_next_run(SimTime t) { next_ = t; }
+  std::vector<SimTime> runs;
+
+ private:
+  static constexpr SimTime kNever = ~SimTime{0};
+  Machine* machine_;
+  SimTime next_;
+};
+
+// perfbench's tracer: a wrapper takes the inner daemon's slot and forwards.
+class ForwardingDaemon final : public Daemon {
+ public:
+  explicit ForwardingDaemon(Daemon& inner) : inner_(&inner) {}
+  [[nodiscard]] SimTime next_run() const override { return inner_->next_run(); }
+  void Run() override { inner_->Run(); }
+
+ private:
+  Daemon* inner_;
+};
+
+// Timed reads until `daemon` has run once; returns the clock after the first
+// read that reached `deadline`, the time the daemon should have run at.
+SimTime ReadUntilRun(Process& p, VirtAddr base, const ScheduledDaemon& daemon,
+                     SimTime deadline) {
+  const std::size_t runs = daemon.runs.size();
+  SimTime due_at = 0;
+  for (int i = 0; i < 100000 && daemon.runs.size() == runs; ++i) {
+    p.Read64(base + static_cast<VirtAddr>(i % 512) * 64);
+    if (due_at == 0 && p.machine().clock().now() >= deadline) {
+      due_at = p.machine().clock().now();
+    }
+  }
+  return due_at;
+}
+
+}  // namespace daemon_test
+
+// The machine caches the earliest daemon deadline between timed accesses. A
+// daemon added, removed or swapped for a forwarding wrapper between accesses
+// must still run right after the first access that reaches its deadline, even
+// while another daemon's far deadline is the one cached.
+TEST(MachineTest, DaemonScheduleChangesBetweenAccessesRunAtDeadlines) {
+  using daemon_test::ScheduledDaemon;
+  Machine machine(SmallMachine());
+  Process& p = machine.CreateProcess();
+  const VirtAddr base = p.AllocateRegion(8, PageType::kAnonymous, false, false);
+  ScheduledDaemon far(machine, 1 * kSecond);
+  machine.AddDaemon(&far);
+  p.Read64(base);  // caches far's deadline
+
+  ScheduledDaemon added(machine, machine.clock().now() + 2 * kMicrosecond);
+  machine.AddDaemon(&added);
+  SimTime deadline = added.next_run();
+  SimTime due_at = daemon_test::ReadUntilRun(p, base, added, deadline);
+  ASSERT_EQ(added.runs.size(), 1u);
+  EXPECT_EQ(added.runs[0], due_at);
+
+  // Swapped for a wrapper (RemoveDaemon, then AddDaemon) with an earlier
+  // deadline set while it was out of the schedule.
+  machine.RemoveDaemon(&added);
+  added.set_next_run(machine.clock().now() + 3 * kMicrosecond);
+  daemon_test::ForwardingDaemon wrapper(added);
+  machine.AddDaemon(&wrapper);
+  deadline = added.next_run();
+  due_at = daemon_test::ReadUntilRun(p, base, added, deadline);
+  ASSERT_EQ(added.runs.size(), 2u);
+  EXPECT_EQ(added.runs[1], due_at);
+
+  // A deadline moved earlier from outside any daemon counts once reported.
+  added.set_next_run(machine.clock().now() + 1 * kMicrosecond);
+  machine.DaemonDeadlinesMoved();
+  deadline = added.next_run();
+  due_at = daemon_test::ReadUntilRun(p, base, added, deadline);
+  ASSERT_EQ(added.runs.size(), 3u);
+  EXPECT_EQ(added.runs[2], due_at);
+
+  // Removed: it never runs again, though its deadline passes.
+  added.set_next_run(machine.clock().now() + 1 * kMicrosecond);
+  machine.RemoveDaemon(&wrapper);
+  for (int i = 0; i < 2000; ++i) {
+    p.Read64(base + static_cast<VirtAddr>(i % 512) * 64);
+  }
+  EXPECT_GT(machine.clock().now(), added.next_run());
+  EXPECT_EQ(added.runs.size(), 3u);
+  EXPECT_TRUE(far.runs.empty());
+}
+
+// Idle called from inside a daemon (here a phase hook of a KSM wake-up that is
+// itself due) advances the clock by its duration without running daemons; it
+// used to spin forever, as the running daemon stays due while it runs.
+TEST(MachineTest, IdleInsideADaemonAdvancesTheClock) {
+  Machine machine(SmallMachine());
+  FusionConfig config;
+  config.wake_period = 1 * kMillisecond;
+  Ksm ksm(machine, config);
+  ksm.Install();
+  std::vector<SimTime> idled;
+  ksm.SetPhaseHook([&](FusionEngine& engine, ScanPhase phase) {
+    if (phase != ScanPhase::kQuantumStart) {
+      return;
+    }
+    Machine& m = engine.machine();
+    const SimTime before = m.clock().now();
+    m.Idle(1 * kMillisecond);
+    idled.push_back(m.clock().now() - before);
+  });
+  machine.Idle(5 * kMillisecond);
+  ksm.SetPhaseHook(nullptr);
+  ksm.Uninstall();
+  ASSERT_FALSE(idled.empty());
+  for (const SimTime d : idled) {
+    EXPECT_EQ(d, 1 * kMillisecond);
+  }
+  EXPECT_GE(machine.clock().now(), 5 * kMillisecond);
 }
 
 TEST(MachineTest, CountHugeMappings) {

@@ -1,6 +1,15 @@
 #include "src/phys/physical_memory.h"
 
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <shared_mutex>
+#include <string>
+#include <thread>
+
 #include <gtest/gtest.h>
+
+#include "src/phys/content_isa.h"
 
 namespace vusion {
 namespace {
@@ -328,6 +337,95 @@ TEST(PhysicalMemoryTest, PatternHashCacheKeepsTouchedSeedsAcrossRotation) {
   const auto stats = mem.pattern_hash_cache_stats();
   EXPECT_GE(stats.evictions, 3u);
   EXPECT_LE(stats.entries, PhysicalMemory::kPatternHashCacheCap);
+}
+
+// WriteU64 writes a materialized, unaliased frame inline and sends every other
+// frame through WriteBytes. A write to a buffer CopyFrame aliased must still
+// clone it: the source keeps its bytes, its generation and its hash memo.
+TEST(PhysicalMemoryTest, WriteU64ToAliasedBufferClonesIt) {
+  PhysicalMemory mem(4);
+  mem.FillPattern(0, 77);
+  mem.WriteU64(0, 64, 0x1111);  // materializes frame 0
+  const std::uint64_t src_hash = mem.HashContent(0);
+  mem.CopyFrame(1, 0);
+  const std::uint64_t src_gen = mem.content_generation(0);
+  const std::size_t materialized = mem.materialized_bytes();
+
+  mem.WriteU64(1, 64, 0x2222);
+  EXPECT_EQ(mem.ReadU64(1, 64), 0x2222u);
+  EXPECT_EQ(mem.ReadU64(0, 64), 0x1111u);
+  EXPECT_EQ(mem.content_generation(0), src_gen);
+  EXPECT_TRUE(mem.frame(0).hash_cached());
+  EXPECT_EQ(mem.HashContent(0), src_hash);
+  EXPECT_NE(mem.frame(0).bytes, mem.frame(1).bytes);
+  EXPECT_EQ(mem.materialized_bytes(), materialized);
+
+  // The other direction: writing the source leaves the copy alone.
+  mem.CopyFrame(2, 0);
+  mem.WriteU64(0, 128, 0x3333);
+  EXPECT_EQ(mem.ReadU64(2, 128), PatternWord(77, 16));
+  EXPECT_EQ(mem.ReadU64(0, 128), 0x3333u);
+  EXPECT_EQ(mem.HashContent(2), src_hash);
+}
+
+// Every WriteU64 path bumps the generation once and counts a mutation of a
+// shared frame once: the inline write (materialized, unaliased), and the
+// WriteBytes fallback for a pattern frame, an aliased buffer, and a write
+// during a streaming scan.
+TEST(PhysicalMemoryTest, WriteU64PathsMoveGenerationAndSharedMutationsAlike) {
+  enum class Path { kInline, kPattern, kAliased, kStreaming };
+  for (const Path path : {Path::kInline, Path::kPattern, Path::kAliased, Path::kStreaming}) {
+    for (const std::uint32_t refcount : {0u, 2u}) {
+      SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)) + " refcount " +
+                   std::to_string(refcount));
+      PhysicalMemory mem(4);
+      mem.FillPattern(0, 5);
+      if (path != Path::kPattern) {
+        mem.WriteBytes(0, 0, std::array<std::uint8_t, 1>{9});
+      }
+      if (path == Path::kAliased) {
+        mem.CopyFrame(1, 0);
+      }
+      mem.SetRefcount(0, refcount);
+      (void)mem.HashContent(0);
+      const std::uint64_t gen = mem.content_generation(0);
+      const std::uint64_t shared = mem.shared_content_mutations();
+      if (path == Path::kStreaming) {
+        mem.BeginStreamingScan();
+      }
+      mem.WriteU64(0, 8, 0xfeed);
+      mem.EndStreamingScan();
+      EXPECT_EQ(mem.content_generation(0), gen + 1);
+      EXPECT_EQ(mem.shared_content_mutations(), shared + (refcount > 0 ? 1 : 0));
+      EXPECT_EQ(mem.ReadU64(0, 8), 0xfeedu);
+      EXPECT_FALSE(mem.frame(0).hash_cached());
+    }
+  }
+}
+
+// While a streaming scan is live, hashing workers read frames under the scan
+// gate held shared, so even a write that could go inline must take the gate.
+TEST(PhysicalMemoryTest, WriteU64DuringStreamingScanTakesTheGate) {
+  PhysicalMemory mem(4);
+  mem.FillPattern(0, 5);
+  mem.WriteU64(0, 0, 1);  // materialized and unaliased: the inline case
+  mem.BeginStreamingScan();
+  std::atomic<bool> written{false};
+  std::thread writer;
+  {
+    const std::shared_lock worker(mem.scan_gate());
+    writer = std::thread([&] {
+      mem.WriteU64(0, 0, 2);
+      written.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(written.load()) << "the write did not wait for the gate";
+    EXPECT_EQ(mem.ReadU64(0, 0), 1u);
+  }
+  writer.join();
+  mem.EndStreamingScan();
+  EXPECT_TRUE(written.load());
+  EXPECT_EQ(mem.ReadU64(0, 0), 2u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "src/chaos/invariant_auditor.h"
 #include "src/fusion/engine_factory.h"
+#include "src/kernel/khugepaged.h"
 #include "src/kernel/process.h"
 #include "src/snapshot/machine_snapshot.h"
 
@@ -400,6 +401,72 @@ TEST(SnapshotParityBaselineTest, IdleSplitAcrossSnapshotIsIdentity) {
     split = snapshot::SaveSnapshot(*restored.machine, restored.engine.get(), restored.kind);
   }
   EXPECT_TRUE(straight == split) << DescribeFirstDiff(straight, split);
+}
+
+// Timed accesses alone (no Idle) drive the daemons across a snapshot. The
+// machine caches its earliest daemon deadline between accesses, and restore
+// sets the engine's and khugepaged's deadlines after registering them; the
+// restored machine must still wake both at the same accesses as the
+// uninterrupted one.
+TEST(SnapshotParityBaselineTest, TimedAccessesAcrossSnapshotAreIdentity) {
+  constexpr int kAccesses = 20000;
+  FusionConfig fusion = MakeFusionConfig(Cell{EngineKind::kVUsion, 1});
+  fusion.wake_period = 100 * kMicrosecond;
+  KhugepagedConfig khugepaged;
+  khugepaged.period = 300 * kMicrosecond;
+  const auto access = [](Machine& machine, const std::vector<VirtAddr>& bases,
+                         std::uint64_t seed) {
+    Rng rng(seed);
+    for (int i = 0; i < kAccesses; ++i) {
+      const std::size_t p = rng.NextBelow(bases.size());
+      Process& proc = *machine.processes()[p];
+      const VirtAddr addr = bases[p] + rng.NextBelow(kPagesPerProcess) * kPageSize +
+                            rng.NextBelow(kPageSize / 8) * 8;
+      if (rng.NextBelow(4) == 0) {
+        proc.Write64(addr, rng.Next());
+      } else {
+        (void)proc.Read64(addr);
+      }
+    }
+  };
+  const auto boot = [&](Machine& machine) {
+    std::unique_ptr<FusionEngine> engine =
+        MakeEngineExact(EngineKind::kVUsion, machine, fusion);
+    engine->Install();
+    machine.EnableKhugepaged(khugepaged);
+    return engine;
+  };
+
+  std::string straight;
+  {
+    Machine machine(MakeMachineConfig());
+    std::unique_ptr<FusionEngine> engine = boot(machine);
+    const std::vector<VirtAddr> bases = SetupProcesses(machine);
+    access(machine, bases, kPhase1Seed);
+    access(machine, bases, kPhase2Seed);
+    straight = snapshot::SaveSnapshot(machine, engine.get(), EngineKind::kVUsion);
+    engine->Uninstall();
+  }
+  std::string continued;
+  {
+    Machine machine(MakeMachineConfig());
+    std::unique_ptr<FusionEngine> engine = boot(machine);
+    const std::vector<VirtAddr> bases = SetupProcesses(machine);
+    access(machine, bases, kPhase1Seed);
+    const std::string mid = snapshot::SaveSnapshot(machine, engine.get(), EngineKind::kVUsion);
+    engine->Uninstall();
+    snapshot::RestoredMachine restored = snapshot::RestoreSnapshot(mid);
+    const std::uint64_t scanned = restored.engine->stats().pages_scanned;
+    const SimTime start = restored.machine->clock().now();
+    access(*restored.machine, bases, kPhase2Seed);
+    // The phase spans several periods of both daemons, and both woke in it.
+    EXPECT_GT(restored.machine->clock().now() - start, 3 * khugepaged.period);
+    EXPECT_GT(restored.engine->stats().pages_scanned, scanned);
+    EXPECT_GT(restored.machine->khugepaged()->next_run(), start + khugepaged.period);
+    continued =
+        snapshot::SaveSnapshot(*restored.machine, restored.engine.get(), restored.kind);
+  }
+  EXPECT_TRUE(straight == continued) << DescribeFirstDiff(straight, continued);
 }
 
 }  // namespace
