@@ -1,21 +1,21 @@
 // Fleet-scale stepping throughput: aggregate host pages/sec when one host
 // steps a >= 16-Machine fleet under the shared virtual clock, swept over fleet
 // thread counts. The sweep proves two things at once: (1) the scheduling win —
-// aggregate pages/sec scales with host threads (measured when the host has the
-// cores, otherwise projected from per-quantum critical paths, exactly like
+// measured aggregate pages/sec against the 1-thread run, each row flagged
+// "oversubscribed" when its thread count exceeds the host's CPUs (as in
 // bench_host_throughput's thread sweep); (2) the determinism contract — every
 // Machine's simulated outcome is bit-identical at every thread count, enforced
 // with a hard exit. The artifact also reports the per-Machine resident
 // overhead from Fleet::CollectFootprint (lazy LLC/trace/content allocation
 // keeps a booted, scanning Machine at roughly its frame table) and the fleet
-// metrics rollup with machine-id labels.
+// metrics rollup with machine-id labels. The bench takes no arguments.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -27,10 +27,10 @@
 namespace vusion {
 namespace {
 
-// Tunables (adjusted by --quick for the CI regression gate).
-int g_repeats = 2;                     // best-of timing repeats per thread count
-SimTime g_run_time = 2 * kSecond;      // simulated window per run
-std::vector<std::size_t> g_threads = {1, 2, 4, 8};
+constexpr int kRepeats = 2;                 // best-of timing repeats per thread count
+constexpr SimTime kRunTime = 2 * kSecond;   // simulated window per run
+constexpr std::array<std::size_t, 4> kThreadCounts = {1, 2, 4, 8};
+constexpr std::size_t kHeadlineThreads = 4;
 
 constexpr std::size_t kMachines = 16;  // acceptance floor: >= 16-Machine fleet
 constexpr std::size_t kVmsPerMachine = 2;
@@ -97,19 +97,17 @@ struct RunResult {
   std::size_t threads = 0;
   std::vector<MachineOutcome> outcomes;       // one per Machine, id order
   double wall_seconds = 0.0;                  // best (min) over repeats
-  double projected_seconds = 0.0;             // serial-costs projection at `threads`
   std::uint64_t total_pages = 0;              // sum of pages_scanned over Machines
   std::uint64_t total_merges = 0;
   // Captured from the serial (threads=1) run only:
   MetricsSnapshot metrics;                    // machine-labeled rollup
-  std::vector<fleet::Fleet::QuantumCost> quantum_costs;
   fleet::Fleet::FootprintSummary footprint;
 };
 
 RunResult RunFleet(std::size_t fleet_threads) {
   RunResult result;
   result.threads = fleet_threads;
-  for (int repeat = 0; repeat < g_repeats; ++repeat) {
+  for (int repeat = 0; repeat < kRepeats; ++repeat) {
     fleet::Fleet fleet(BenchFleetConfig(fleet_threads));
     fleet.BootAll();
 
@@ -147,7 +145,7 @@ RunResult RunFleet(std::size_t fleet_threads) {
     });
 
     const auto start = std::chrono::steady_clock::now();
-    fleet.RunFor(g_run_time);
+    fleet.RunFor(kRunTime);
     const double wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
@@ -168,7 +166,6 @@ RunResult RunFleet(std::size_t fleet_threads) {
       result.wall_seconds = wall_seconds;
       if (fleet_threads == 1) {
         result.metrics = fleet.CollectMetrics();
-        result.quantum_costs = fleet.quantum_costs();
         result.footprint = fleet.CollectFootprint();
       }
     } else {
@@ -186,19 +183,6 @@ RunResult RunFleet(std::size_t fleet_threads) {
     result.total_merges += o.merges;
   }
   return result;
-}
-
-double ProjectedSeconds(const std::vector<fleet::Fleet::QuantumCost>& costs,
-                        std::size_t threads) {
-  // Mirror of Fleet::ProjectedRuntimeNs, applied to the serial run's costs:
-  // each quantum's critical path under T threads is the slower of perfect
-  // division and the single slowest Machine (the barrier waits for it).
-  const double t = static_cast<double>(std::max<std::size_t>(1, threads));
-  double total_ns = 0.0;
-  for (const fleet::Fleet::QuantumCost& q : costs) {
-    total_ns += std::max(static_cast<double>(q.sum_ns) / t, static_cast<double>(q.max_ns));
-  }
-  return total_ns / 1e9;
 }
 
 struct VarianceRow {
@@ -235,9 +219,7 @@ void Run() {
   reporter.Header("Fleet stepping throughput: one host, many Machines, one clock");
 
   const unsigned host_cpus = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t max_threads = *std::max_element(g_threads.begin(), g_threads.end());
-  const bool measured_basis = host_cpus >= max_threads;
-  const char* basis = measured_basis ? "measured" : "projected";
+  const auto oversubscribed = [host_cpus](std::size_t threads) { return threads > host_cpus; };
 
   {
     Json config = Json::Object();
@@ -245,25 +227,23 @@ void Run() {
     config.Set("vms_per_machine", kVmsPerMachine);
     config.Set("guest_pages", kGuestPages);
     config.Set("quantum_ms", kQuantum / kMillisecond);
-    config.Set("run_ms", g_run_time / kMillisecond);
-    config.Set("repeats", g_repeats);
+    config.Set("run_ms", kRunTime / kMillisecond);
+    config.Set("repeats", kRepeats);
     config.Set("host_cpus", host_cpus);
-    config.Set("basis", basis);
     reporter.SetConfig("fleet", std::move(config));
     reporter.SetConfig("scenario", Describe(BenchFleetConfig(1).scenario));
   }
 
   std::printf("fleet: %zu machines x %zu VMs, %llu ms simulated, quantum %llu ms, "
-              "host has %u cpu%s (%s basis)\n\n",
+              "host has %u cpu%s\n\n",
               kMachines, kVmsPerMachine,
-              static_cast<unsigned long long>(g_run_time / kMillisecond),
+              static_cast<unsigned long long>(kRunTime / kMillisecond),
               static_cast<unsigned long long>(kQuantum / kMillisecond), host_cpus,
-              host_cpus == 1 ? "" : "s", basis);
-  std::printf("%8s %12s %10s %12s %10s %12s\n", "threads", "pages", "wall(s)", "meas pg/s",
-              "proj(s)", "proj pg/s");
+              host_cpus == 1 ? "" : "s");
+  std::printf("%8s %12s %10s %12s\n", "threads", "pages", "wall(s)", "pages/s");
 
   std::vector<RunResult> runs;
-  for (const std::size_t threads : g_threads) {
+  for (const std::size_t threads : kThreadCounts) {
     RunResult r = RunFleet(threads);
     if (!runs.empty() && !(r.outcomes == runs.front().outcomes)) {
       std::fprintf(stderr,
@@ -271,53 +251,44 @@ void Run() {
                    runs.front().threads, r.threads);
       std::exit(1);
     }
-    runs.push_back(std::move(r));
-  }
-  std::printf("  (simulated outcome bit-identical across all fleet thread counts)\n");
-
-  const std::vector<fleet::Fleet::QuantumCost>& serial_costs = runs.front().quantum_costs;
-  for (RunResult& r : runs) {
-    r.projected_seconds = ProjectedSeconds(serial_costs, r.threads);
-  }
-  // Reprint rows now that projections exist (keeps the loop above simple).
-  for (const RunResult& r : runs) {
-    const double meas_pps =
+    const double pps =
         r.wall_seconds > 0 ? static_cast<double>(r.total_pages) / r.wall_seconds : 0.0;
-    const double proj_pps =
-        r.projected_seconds > 0 ? static_cast<double>(r.total_pages) / r.projected_seconds : 0.0;
-    std::printf("%8zu %12llu %10.3f %12.0f %10.3f %12.0f\n", r.threads,
-                static_cast<unsigned long long>(r.total_pages), r.wall_seconds, meas_pps,
-                r.projected_seconds, proj_pps);
+    std::printf("%8zu %12llu %10.3f %12.0f\n", r.threads,
+                static_cast<unsigned long long>(r.total_pages), r.wall_seconds, pps);
     reporter.AddRow("runs", {{"threads", r.threads},
                              {"pages_scanned", r.total_pages},
                              {"merges", r.total_merges},
                              {"wall_seconds", r.wall_seconds},
-                             {"pages_per_second", meas_pps},
-                             {"projected_seconds", r.projected_seconds},
-                             {"projected_pages_per_second", proj_pps}});
+                             {"pages_per_second", pps},
+                             {"oversubscribed", oversubscribed(r.threads)}});
     reporter.AddTiming("threads_" + std::to_string(r.threads) + "_wall",
                        r.wall_seconds * 1e3);
+    runs.push_back(std::move(r));
   }
+  std::printf("  (simulated outcome bit-identical across all fleet thread counts)\n");
 
-  // --- Scaling vs the 1-thread reference. ---
-  std::printf("\naggregate stepping speedup vs 1 fleet thread (%s basis):\n ", basis);
+  // --- Measured scaling vs the 1-thread run. ---
+  std::printf("\nmeasured aggregate stepping speedup vs 1 fleet thread "
+              "(* = oversubscribed):\n ");
   double speedup_4t = 0.0;
   for (const RunResult& r : runs) {
-    const double base = measured_basis ? runs.front().wall_seconds : runs.front().projected_seconds;
-    const double mine = measured_basis ? r.wall_seconds : r.projected_seconds;
-    const double speedup = mine > 0 ? base / mine : 0.0;
-    if (r.threads == 4) {
+    const double speedup = r.wall_seconds > 0 ? runs.front().wall_seconds / r.wall_seconds : 0.0;
+    if (r.threads == kHeadlineThreads) {
       speedup_4t = speedup;
     }
-    std::printf("  %zut=%.2fx", r.threads, speedup);
-    reporter.AddRow("fleet_speedup", {{"threads", r.threads}, {"speedup", speedup}});
+    std::printf("  %zut=%.2fx%s", r.threads, speedup, oversubscribed(r.threads) ? "*" : "");
+    reporter.AddRow("fleet_speedup", {{"threads", r.threads},
+                                      {"speedup", speedup},
+                                      {"oversubscribed", oversubscribed(r.threads)}});
   }
-  std::printf("\n\nheadline: 4-thread fleet stepping speedup %.2fx (%s, target >= 3x)\n",
-              speedup_4t, basis);
+  std::printf("\n\nheadline: %zu-thread fleet stepping speedup %.2fx (measured%s, "
+              "target >= 3x)\n",
+              kHeadlineThreads, speedup_4t,
+              oversubscribed(kHeadlineThreads) ? ", oversubscribed" : "");
   reporter.AddRow("headlines", {{"name", "fleet_parallel_speedup_4t"},
                                 {"value", speedup_4t},
                                 {"target", 3.0},
-                                {"basis", basis}});
+                                {"oversubscribed", oversubscribed(kHeadlineThreads)}});
 
   // --- Per-Machine variance: same images, per-Machine RNG streams. ---
   const RunResult& serial = runs.front();
@@ -365,28 +336,14 @@ void Run() {
   }
 }
 
-void ParseArgs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      // CI regression gate: one repeat over a short simulated window. The
-      // thread sweep keeps its full shape so bench_diff can match every
-      // fleet_speedup row against the committed full-run baseline; speedup
-      // ratios survive the shrink, raw counts don't.
-      g_repeats = 1;
-      g_run_time = 500 * kMillisecond;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace vusion
 
-int main(int argc, char** argv) {
+int main() {
   // The sweep pins its own thread counts; environment overrides would
   // silently skew every run the same way and hide scaling.
   ::unsetenv("VUSION_FLEET_THREADS");
   ::unsetenv("VUSION_SCAN_THREADS");
-  vusion::ParseArgs(argc, argv);
   vusion::Run();
   return 0;
 }

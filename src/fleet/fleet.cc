@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "src/host/clock.h"
 #include "src/host/thread_pool.h"
 
 namespace vusion::fleet {
@@ -35,7 +34,6 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
   // The pool steps Machines only. A member with scan_threads > 1 owns its
   // Machine's scan pool, like a standalone Machine (DESIGN.md §12).
   pool_ = std::make_unique<host::ThreadPool>(std::max<std::size_t>(1, config_.host_threads));
-  step_ns_.assign(members_.size(), 0);
 }
 
 Fleet::~Fleet() = default;
@@ -63,7 +61,6 @@ void Fleet::BootAll() {
 }
 
 void Fleet::StepMachine(std::size_t m, SimTime quantum) {
-  const std::uint64_t start = host::NowNs();
   if (hook_) {
     hook_(m, *members_[m]);
   }
@@ -78,7 +75,6 @@ void Fleet::StepMachine(std::size_t m, SimTime quantum) {
   if (current < target) {
     members_[m]->RunFor(target - current);
   }
-  step_ns_[m] = host::NowNs() - start;
 }
 
 void Fleet::RunFor(SimTime duration) {
@@ -89,27 +85,9 @@ void Fleet::RunFor(SimTime duration) {
       StepMachine(m, quantum);
     };
     pool_->ParallelTasks(members_.size(), step_one);
-    QuantumCost cost;
-    for (const std::uint64_t ns : step_ns_) {
-      cost.sum_ns += ns;
-      cost.max_ns = std::max(cost.max_ns, ns);
-    }
-    quantum_costs_.push_back(cost);
     now_ += quantum;
     remaining -= quantum;
   }
-}
-
-double Fleet::ProjectedRuntimeNs(std::size_t host_threads) const {
-  // Each quantum ends at a barrier, so its wall time under T threads is at
-  // best perfect division of the total work and at worst the single slowest
-  // Machine — the critical path is the max of the two.
-  const double threads = static_cast<double>(std::max<std::size_t>(1, host_threads));
-  double total = 0.0;
-  for (const QuantumCost& q : quantum_costs_) {
-    total += std::max(static_cast<double>(q.sum_ns) / threads, static_cast<double>(q.max_ns));
-  }
-  return total;
 }
 
 MetricsSnapshot Fleet::CollectMetrics() {

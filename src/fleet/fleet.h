@@ -99,19 +99,6 @@ class Fleet {
   // count.
   void RunFor(SimTime duration);
 
-  // --- Host-side scaling telemetry (never touches simulated state) ---
-
-  // Per-quantum host cost: sum over Machines and max over Machines of the
-  // per-Machine step time. projected_ns(T) = sum over quanta of
-  // max(sum/T, max) — the barrier makes each quantum's critical path the
-  // slower of perfect division and the single slowest Machine.
-  struct QuantumCost {
-    std::uint64_t sum_ns = 0;
-    std::uint64_t max_ns = 0;
-  };
-  [[nodiscard]] const std::vector<QuantumCost>& quantum_costs() const { return quantum_costs_; }
-  [[nodiscard]] double ProjectedRuntimeNs(std::size_t host_threads) const;
-
   // --- Fleet aggregation ---
 
   // Rolls up every member's metrics into one snapshot, each entry tagged with
@@ -138,8 +125,6 @@ class Fleet {
   std::unique_ptr<host::ThreadPool> pool_;
   QuantumHook hook_;
   SimTime now_ = 0;
-  std::vector<std::uint64_t> step_ns_;  // per-Machine scratch for the current quantum
-  std::vector<QuantumCost> quantum_costs_;
 };
 
 }  // namespace vusion::fleet

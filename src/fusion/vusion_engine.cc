@@ -80,7 +80,6 @@ void VUsionEngine::Run() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - scan_start)
           .count());
-  ++timing_.batches;
   next_run_ = machine_->clock().now() + config_.wake_period;
 }
 

@@ -89,7 +89,6 @@ void Wpf::DoFusionPass() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - scan_start)
           .count());
-  ++timing_.batches;
   NotifyPhase(ScanPhase::kHashed);
   PruneDeadCandidates(candidates);
 

@@ -53,12 +53,9 @@ void ParallelScanPipeline::Run(ThreadPool& pool, std::vector<ScanItem>& items,
   for (ScanItem& item : items) {
     ResolvePreMerge(item, filter);
   }
-  const std::uint64_t prepass_ns = NowNs() - prepass_start;
 
-  std::atomic<std::uint64_t> hash_cpu{0};
   std::atomic<std::uint64_t> hash_last_end{0};
   const auto hash_chunk = [&](std::size_t begin, std::size_t end) {
-    const std::uint64_t t0 = NowNs();
     {
       // Shared hold for the whole chunk: content mutators (exclusive) are
       // fenced out, so each peeked {content, generation} pair is consistent.
@@ -72,9 +69,7 @@ void ParallelScanPipeline::Run(ThreadPool& pool, std::vector<ScanItem>& items,
         item.hashed = true;
       }
     }
-    const std::uint64_t t1 = NowNs();
-    hash_cpu.fetch_add(t1 - t0, std::memory_order_relaxed);
-    MaxRelaxed(hash_last_end, t1);
+    MaxRelaxed(hash_last_end, NowNs());
   };
 
   const std::size_t chunk =
@@ -132,7 +127,6 @@ void ParallelScanPipeline::Run(ThreadPool& pool, std::vector<ScanItem>& items,
   }
   memory_->EndStreamingScan();
 
-  timing.phase1_cpu_ns += prepass_ns + hash_cpu.load(std::memory_order_relaxed);
   timing.items += items.size();
   const std::uint64_t last_end = hash_last_end.load(std::memory_order_relaxed);
   // Wall span of phase-1 work: pre-pass start through the last chunk

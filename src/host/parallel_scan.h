@@ -57,14 +57,11 @@ struct ScanItem {
 };
 
 // Host wall-clock accounting for the scan sections, exposed so benches can
-// report scan-only throughput, project the parallel critical path
-// (phase1_cpu_ns / thread count), and measure pipeline overlap
+// report scan-only throughput and measure pipeline overlap
 // (1 - scan_wall / (phase1_wall + merge_wall) > 0 only when hashing and
 // merging actually overlapped).
 struct ScanTiming {
-  std::uint64_t batches = 0;
   std::uint64_t scan_ns = 0;          // whole scan section (collection + pipeline)
-  std::uint64_t phase1_cpu_ns = 0;    // pre-pass plus aggregate time inside hash chunks
   std::uint64_t phase1_wall_ns = 0;   // span from pre-pass start to last chunk completion
   std::uint64_t merge_wall_ns = 0;    // serial merge work (excludes streaming waits)
   std::uint64_t items = 0;            // pages pushed through the pipeline

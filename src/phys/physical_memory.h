@@ -28,9 +28,11 @@ class PhysicalMemory {
 
   // Savestates (src/snapshot/): serializes every frame's canonical state
   // (allocation, refcount, content representation — kBytes buffers deduplicated
-  // via CoW-alias backrefs) plus the allocation counters and the pattern-hash
-  // cache (whose hit/miss counters are metrics-observable, so membership must
-  // survive a round trip). The per-frame hash memo is host-only and reset.
+  // via CoW-alias backrefs, content generation and hash memo) plus the
+  // allocation counters and the pattern-hash cache. The memo and the cache are
+  // saved because their hit/miss counters are metrics-observable: a frame
+  // restored without its memo would rehash where the uninterrupted run would
+  // not, so both must survive a round trip.
   void SaveState(snapshot::SnapshotWriter& w) const;
   void RestoreState(snapshot::SnapshotReader& r);
 

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdlib>
 #include <map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -437,9 +438,16 @@ void ExpectThreadedResultsEqual(const ThreadedResult& want, const ThreadedResult
 }
 
 struct ThreadedParam {
+  ThreadedParam(EngineKind kind_in, std::uint64_t seed_in) : kind(kind_in), seed(seed_in) {}
+
   EngineKind kind;
+  // gtest prints the parameter byte by byte into the test name, so the gap
+  // after the 4-byte kind is an explicit zero field, not indeterminate padding.
+  std::uint32_t unused = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<ThreadedParam>,
+              "ThreadedParam must have no padding bytes");
 
 class ScanThreadsParityTest : public ::testing::TestWithParam<ThreadedParam> {
  protected:

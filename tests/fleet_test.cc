@@ -222,7 +222,6 @@ TEST_F(FleetParityTest, QuantumHookRunsOncePerMachinePerQuantum) {
     EXPECT_EQ(hook_runs[m], 4) << "machine " << m;
   }
   EXPECT_EQ(fleet.now(), 20 * kMillisecond);
-  EXPECT_EQ(fleet.quantum_costs().size(), 4u);
 }
 
 TEST_F(FleetParityTest, TrailingPartialQuantumAdvancesExactly) {
@@ -230,10 +229,12 @@ TEST_F(FleetParityTest, TrailingPartialQuantumAdvancesExactly) {
   config.quantum = 3 * kMillisecond;
   fleet::Fleet fleet(config);
   fleet.BootAll();
+  std::vector<int> hook_runs(fleet.size(), 0);
+  fleet.SetQuantumHook([&hook_runs](std::size_t m, Scenario&) { ++hook_runs[m]; });
   fleet.RunFor(7 * kMillisecond);  // 3 + 3 + 1
   EXPECT_EQ(fleet.now(), 7 * kMillisecond);
-  EXPECT_EQ(fleet.quantum_costs().size(), 3u);
   for (std::size_t m = 0; m < fleet.size(); ++m) {
+    EXPECT_EQ(hook_runs[m], 3) << "machine " << m;
     EXPECT_GE(fleet.member(m).machine().clock().now(), 7 * kMillisecond);
   }
 }

@@ -40,7 +40,9 @@ TEST(CounterTest, HandleSurvivesLaterRegistrations) {
   Counter& first = registry.GetCounter("m0");
   // Force enough registrations that a vector-backed store would reallocate.
   for (int i = 1; i < 200; ++i) {
-    registry.GetCounter("m" + std::to_string(i));
+    std::string name = "m";
+    name += std::to_string(i);
+    registry.GetCounter(name);
   }
   first.Add(7);
   EXPECT_EQ(registry.GetCounter("m0").value(), 7u);

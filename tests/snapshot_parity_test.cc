@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/chaos/invariant_auditor.h"
@@ -30,15 +31,22 @@ constexpr int kPhaseSteps = 300;
 constexpr std::size_t kChunkOneQuantum = 7;
 
 struct Cell {
+  Cell(EngineKind kind_in, std::size_t threads_in, std::size_t pages_per_wake_in = 256)
+      : kind(kind_in), threads(threads_in), pages_per_wake(pages_per_wake_in) {}
+
   EngineKind kind;
+  // gtest prints the parameter byte by byte into the test name, so the gap
+  // after the 4-byte kind is an explicit zero field, not indeterminate padding.
+  std::uint32_t unused = 0;
   std::size_t threads;
-  std::size_t pages_per_wake = 256;
+  std::size_t pages_per_wake;
   // Unused. gtest prints the parameter's size into each test name, and this
   // keeps the cell at the 32 bytes it had while the scan-pipeline shape was a
   // matrix axis, so the cells keep their test names.
   std::uint64_t reserved = 0;
 };
 static_assert(sizeof(Cell) == 32);
+static_assert(std::has_unique_object_representations_v<Cell>, "Cell must have no padding bytes");
 
 // The "DeltaOff" infix is kept from when delta scanning was a matrix axis, and
 // the "C1" suffix (1-page hash chunks) from when the chunk size was a knob, so

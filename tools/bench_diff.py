@@ -4,13 +4,19 @@
 Usage: bench_diff.py BASELINE CANDIDATE [--regress-pct PCT] [--table NAME ...]
 
 Compares the *ratio* tables of two schema-version-1 artifacts emitted by
-bench::Reporter (see tools/check_bench_json.py for the shape). Ratios —
-parallel scan speedup, fleet speedup, and the headline values — are stable
-across machines and across --quick/full runs, unlike absolute page counts or
-wall seconds, so they are the only values this tool judges. A candidate cell more than --regress-pct
-percent below the baseline cell is a regression (all ratio metrics here are
-higher-is-better); a baseline row missing from the candidate is a coverage
-regression. Either exits non-zero.
+bench::Reporter (see tools/check_bench_json.py for the shape): parallel scan
+speedup, fleet speedup, and the headline values. Each is a ratio of two
+wall-clock measurements from the same run; absolute page counts and wall
+seconds are never judged. The ratios still vary with the host's core count,
+its load and the run length, so the threshold is a collapse detector, not a
+noise bound. A candidate cell more than --regress-pct percent below the
+baseline cell is a regression (all ratio metrics here are higher-is-better); a
+baseline row missing from the candidate is a coverage regression. Either exits
+non-zero.
+
+A row flagged "oversubscribed" (more threads than the host that measured it
+has CPUs) on either side is printed as "skip" and never judged: its ratio
+measures the host's scheduler, not the simulator.
 
 Rows are matched by table-specific key fields:
 
@@ -82,6 +88,9 @@ def diff_table(name, key_fields, base_rows, cand_rows, regress_pct):
         if cand_row is None:
             regressions += 1
             lines.append(f"REGRESS {name}[{label}]: row missing from candidate")
+            continue
+        if base_row.get("oversubscribed") is True or cand_row.get("oversubscribed") is True:
+            lines.append(f"skip    {name}[{label}]: oversubscribed (not judged)")
             continue
         for field, base_value in numeric_fields(base_row, key_fields).items():
             cand_value = cand_row.get(field)

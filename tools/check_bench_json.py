@@ -25,8 +25,10 @@ The fleet artifact (bench == "fleet_throughput") gets extra structural checks:
 its fleet_speedup/headlines/footprint tables must be present and well-formed,
 and every entry of the fleet metrics rollup must carry a "machine" label. The
 host artifact (bench == "host_throughput") must carry the pipeline-overlap
-columns in every threads_sweep row (phase1_cpu/phase1_wall/merge_wall
-seconds, overlap_efficiency, speculative conflict counters).
+columns in every threads_sweep row (phase1_wall/merge_wall seconds,
+overlap_efficiency, speculative conflict counters). Every row of the
+threads_sweep, parallel_speedup, fleet runs, fleet_speedup and headlines
+tables must carry a boolean "oversubscribed", which tools/bench_diff.py reads.
 
 Usage: check_bench_json.py FILE [FILE...]
 Exits non-zero on the first malformed artifact.
@@ -132,7 +134,6 @@ def check_artifact(path):
 # (ScanTiming: DESIGN.md §14); overlap_efficiency is the fraction of the
 # serial phase-1 + merge span hidden by running them concurrently.
 OVERLAP_FIELDS = (
-    "phase1_cpu_seconds",
     "phase1_wall_seconds",
     "merge_wall_seconds",
     "overlap_efficiency",
@@ -141,13 +142,23 @@ OVERLAP_FIELDS = (
 )
 
 
+def check_oversubscribed(doc, path, table_names):
+    """Every row of the named tables flags whether its thread count exceeded
+    the host's CPUs; bench_diff.py skips the rows that did."""
+    for name in table_names:
+        for i, row in enumerate(doc["tables"][name]):
+            expect(isinstance(row.get("oversubscribed"), bool), f"{path}.tables.{name}[{i}]",
+                   "missing boolean 'oversubscribed'")
+
+
 def check_host_artifact(doc, path):
     """Host-throughput shape: the streaming pipeline's overlap columns must be
     present and numeric in every thread-sweep row."""
     tables = doc["tables"]
-    for name in ("runs", "threads_sweep", "headlines"):
+    for name in ("runs", "threads_sweep", "parallel_speedup", "headlines"):
         expect(name in tables and tables[name], f"{path}.tables",
                f"host artifact missing table {name!r}")
+    check_oversubscribed(doc, path, ("threads_sweep", "parallel_speedup", "headlines"))
     for i, row in enumerate(tables["threads_sweep"]):
         prefix = f"{path}.tables.threads_sweep[{i}]"
         for field in OVERLAP_FIELDS:
@@ -166,6 +177,7 @@ def check_fleet_artifact(doc, path):
     tables = doc["tables"]
     for name in ("runs", "fleet_speedup", "headlines", "footprint", "machine_variance"):
         expect(name in tables and tables[name], f"{path}.tables", f"fleet artifact missing table {name!r}")
+    check_oversubscribed(doc, path, ("runs", "fleet_speedup", "headlines"))
     for i, row in enumerate(tables["fleet_speedup"]):
         expect(isinstance(row.get("threads"), numbers.Number), f"{path}.tables.fleet_speedup[{i}]",
                "missing numeric 'threads'")

@@ -4,11 +4,11 @@
 // snapshot in a fresh process and keeps running — the CI snapshot-smoke job
 // byte-compares a straight-through run against a save/restore/continue run.
 //
-// Usage:
+// Usage (an indented line continues the command above it):
 //   tools/savestate boot --engine vusion --seed 11 --steps 300 --out mid.vsnap
-//   tools/savestate boot --engine vusion --seed 11 --steps 300 --idle 80 \
+//   tools/savestate boot --engine vusion --seed 11 --steps 300 --idle 80
 //       --out straight.vsnap --stats straight.txt
-//   tools/savestate continue --in mid.vsnap --idle 80 --out continued.vsnap \
+//   tools/savestate continue --in mid.vsnap --idle 80 --out continued.vsnap
 //       --stats restored.txt
 //   tools/savestate inspect --in mid.vsnap
 //   tools/savestate verify --in mid.vsnap
