@@ -3,12 +3,13 @@
 // 1. Per-engine scan throughput on the diverse-VM scenario, best-of-N wall
 //    time per engine so scheduler jitter does not set the number.
 //
-// 2. A 1, 2, 4, 8 thread sweep of the streaming scan pipeline
-//    (FusionConfig::scan_threads) on a churn variant of the same scenario where
-//    guests keep dirtying their unique pages, so per-wake content hashing — the
-//    work the pipeline spreads across workers — dominates the scan path. The
-//    sweep reports the pipeline's overlap accounting: phase-1 wall span, pure
-//    merge time, and the overlap efficiency
+// 2. A 1, 2, 4, 8 thread sweep of KSM's and WPF's streaming scan pipeline
+//    (FusionConfig::scan_threads; VUsion scans serially and ignores it) on a
+//    churn variant of the same scenario where guests keep dirtying their
+//    unique pages, so per-wake content hashing — the work the pipeline
+//    spreads across workers — dominates the scan path. The sweep reports the
+//    pipeline's overlap accounting: phase-1 wall span, pure merge time, and
+//    the overlap efficiency
 //    1 - scan_wall / (phase1_wall + merge_wall) — 0 when hashing and merging
 //    strictly serialize, approaching the ideal as the merge consumer hides
 //    behind in-flight hash chunks.
@@ -20,7 +21,8 @@
 // (ScanTiming::scan_ns) at T threads over the 1-thread cell. A sweep, speedup
 // or headline row whose thread count exceeds the host's CPUs is flagged
 // "oversubscribed"; tools/bench_diff.py does not judge such rows. The headline
-// is KSM's 4-thread speedup. The bench takes no arguments; results go to
+// is WPF's 4-thread speedup: KSM's ratio spreads too widely between runs for a
+// regression gate (DESIGN.md §12). The bench takes no arguments; results go to
 // stdout and BENCH_host_throughput.json.
 
 #include <algorithm>
@@ -269,7 +271,7 @@ void Run() {
   std::printf("%-12s %8s %12s %9s %9s %9s %6s %12s\n", "engine", "threads", "items",
               "scan(s)", "p1wall(s)", "merge(s)", "ovl%", "pages/s");
   std::vector<std::vector<SweepResult>> sweeps;
-  for (const EngineKind kind : engines) {
+  for (const EngineKind kind : {EngineKind::kKsm, EngineKind::kWpf}) {
     std::vector<SweepResult> series;
     for (const std::size_t threads : kThreadCounts) {
       SweepResult r = RunSweep(kind, threads);
@@ -312,7 +314,7 @@ void Run() {
     reporter.AddTiming(r.engine + "_wall", r.wall_seconds * 1e3);
   }
 
-  double ksm_parallel = 0.0;
+  double wpf_parallel = 0.0;
   for (const std::vector<SweepResult>& series : sweeps) {
     for (const SweepResult& r : series) {
       reporter.AddRow("threads_sweep", {{"engine", r.engine},
@@ -336,8 +338,8 @@ void Run() {
     std::printf("  %-12s", series.front().engine.c_str());
     for (const SweepResult& r : series) {
       const double speedup = base_pps > 0 ? r.pages_per_second / base_pps : 0.0;
-      if (series.front().engine == "KSM" && r.threads == kHeadlineThreads) {
-        ksm_parallel = speedup;
+      if (series.front().engine == "WPF" && r.threads == kHeadlineThreads) {
+        wpf_parallel = speedup;
       }
       std::printf("  %zut=%.2fx%s", r.threads, speedup, oversubscribed(r.threads) ? "*" : "");
       reporter.AddRow("parallel_speedup", {{"engine", r.engine},
@@ -347,12 +349,12 @@ void Run() {
     }
     std::printf("\n");
   }
-  std::printf("\nheadline: KSM %zu-thread parallel scan speedup %.2fx (measured%s, "
+  std::printf("\nheadline: WPF %zu-thread parallel scan speedup %.2fx (measured%s, "
               "target >= 3x)\n",
-              kHeadlineThreads, ksm_parallel,
+              kHeadlineThreads, wpf_parallel,
               oversubscribed(kHeadlineThreads) ? ", oversubscribed" : "");
-  reporter.AddRow("headlines", {{"name", "ksm_parallel_speedup_4t"},
-                                {"value", ksm_parallel},
+  reporter.AddRow("headlines", {{"name", "wpf_parallel_speedup_4t"},
+                                {"value", wpf_parallel},
                                 {"target", 3.0},
                                 {"oversubscribed", oversubscribed(kHeadlineThreads)}});
   const std::string path = reporter.WriteJson();

@@ -21,10 +21,6 @@ bool ColorEvictionSets::complete() const {
   return true;
 }
 
-std::size_t ColorEvictionSets::accesses_per_color() const {
-  return config_.ways * (kPageSize / config_.line_size);
-}
-
 SimTime ColorEvictionSets::Traverse(
     std::size_t color,
     const std::function<SimTime(FrameId frame, std::size_t offset)>& access) const {

@@ -29,9 +29,6 @@ class ColorEvictionSets {
     return sets_[color];
   }
 
-  // Number of line accesses one Prime/Probe of a color performs.
-  [[nodiscard]] std::size_t accesses_per_color() const;
-
   // Accesses all lines of the eviction set for `color` through the provided access
   // function (which should go through the simulated memory hierarchy so it both
   // perturbs the cache and accrues time). Returns the summed reported latency.

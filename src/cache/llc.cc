@@ -158,10 +158,6 @@ std::size_t Llc::resident_bytes() const {
 
 std::size_t Llc::ColorOf(FrameId frame) const { return frame % config_.page_colors(); }
 
-std::size_t Llc::SetIndexOf(PhysAddr paddr) const {
-  return static_cast<std::size_t>((paddr >> line_shift_) & set_mask_);
-}
-
 }  // namespace vusion
 
 #include "src/snapshot/io.h"

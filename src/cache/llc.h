@@ -101,7 +101,6 @@ class Llc {
 
   // Color of a physical frame under this geometry (pfn mod page_colors()).
   [[nodiscard]] std::size_t ColorOf(FrameId frame) const;
-  [[nodiscard]] std::size_t SetIndexOf(PhysAddr paddr) const;
 
   [[nodiscard]] const CacheConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }

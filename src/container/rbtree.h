@@ -110,36 +110,6 @@ class RbTree {
     return {nullptr, steps};
   }
 
-  // Leftmost node matching a three-way probe (probe == 0), or nullptr. Unlike
-  // Find, which stops at the first match on the descent path, this pins down a
-  // deterministic element of an equal-key run.
-  template <typename Probe>
-  [[nodiscard]] Node* LowerBound(Probe&& probe) const {
-    Node* cur = root_;
-    Node* match = nullptr;
-    while (cur != nullptr) {
-      const int c = probe(cur->value);
-      if (c == 0) {
-        match = cur;
-      }
-      cur = (c <= 0) ? cur->left : cur->right;
-    }
-    return match;
-  }
-
-  // In-order successor via parent pointers; nullptr past the maximum.
-  [[nodiscard]] static Node* Successor(Node* n) {
-    if (n->right != nullptr) {
-      return Minimum(n->right);
-    }
-    Node* p = n->parent;
-    while (p != nullptr && n == p->right) {
-      n = p;
-      p = p->parent;
-    }
-    return p;
-  }
-
   // Removes a node previously returned by Insert/Find. The node is deleted.
   void Remove(Node* z) {
     assert(z != nullptr);

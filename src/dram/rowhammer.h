@@ -54,8 +54,7 @@ class RowhammerEngine {
   std::vector<FlipEvent> OnActivation(const RowBuffer::AccessResult& access);
 
   [[nodiscard]] const std::vector<FlipEvent>& flips() const { return all_flips_; }
-  void ClearFlipLog() { all_flips_.clear(); }
-  // Lifetime flip count; survives ClearFlipLog (telemetry harvests this).
+  // Lifetime flip count (telemetry harvests this).
   [[nodiscard]] std::uint64_t total_flips() const { return total_flips_; }
 
  private:

@@ -95,15 +95,6 @@ class ScanCursor {
     return NextSlow(process, vpn, wrapped);
   }
 
-  // What the next Next() would yield, without advancing — the scan loop peeks
-  // one page ahead to prefetch its host-side state. Cursor state is four words,
-  // so peeking is a copy plus the normal skip logic.
-  bool Peek(Process*& process, Vpn& vpn) const {
-    ScanCursor copy = *this;
-    bool wrapped = false;
-    return copy.Next(process, vpn, wrapped);
-  }
-
   // Savestate accessors: the three indices ARE the cursor (everything else is
   // revalidated against the live process table on every Next call).
   struct State {

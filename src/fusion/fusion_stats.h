@@ -48,10 +48,11 @@ struct FusionConfig {
   SimTime wake_period = 20 * kMillisecond;
   std::size_t pages_per_wake = 100;
 
-  // Host threads for the streaming scan pipeline's hashing; 1 = the serial
-  // reference path. Simulated stats, traces, and charged latencies are
-  // bit-identical for every value (see DESIGN.md, "Parallel host, serial sim").
-  // The VUSION_SCAN_THREADS environment variable overrides this via
+  // Host threads for KSM's and WPF's streaming scan pipeline hashing; 1 = the
+  // serial reference path. VUsion always scans serially and ignores it.
+  // Simulated stats, traces, and charged latencies are bit-identical for every
+  // value (see DESIGN.md, "Parallel host, serial sim"). The
+  // VUSION_SCAN_THREADS environment variable overrides this via
   // ApplyEnvOverrides (used by the TSan CI job to run the whole suite threaded).
   std::size_t scan_threads = 1;
 

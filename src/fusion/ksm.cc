@@ -52,11 +52,7 @@ void Ksm::Run() {
   NotifyPhase(ScanPhase::kQuantumStart);
   // Fetched every quantum: the Machine replaces its pool when another engine
   // asks for more threads.
-  if (host::ThreadPool* pool = machine_->HostPool(config_.scan_threads)) {
-    ScanQuantumPipelined(*pool);
-  } else {
-    ScanQuantumSerial();
-  }
+  ScanQuantum(machine_->HostPool(config_.scan_threads));
   NotifyPhase(ScanPhase::kQuantumEnd);
   timing_.scan_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -65,11 +61,16 @@ void Ksm::Run() {
   next_run_ = machine_->clock().now() + config_.wake_period;
 }
 
-void Ksm::ScanQuantumSerial() {
+void Ksm::ScanQuantum(host::ThreadPool* pool) {
   // Batch the quantum's charges: noise is drawn per charge in the usual order,
   // the clock advances once per flush (trace emits and phase hooks flush).
   ChargeSpan span(machine_->latency());
+  // Collect the quantum, then scan it. ScanOne never changes the process list,
+  // VMA layout, or mergeable flags (only PTEs and frame contents), so the
+  // cursor yields the sequence a page-by-page loop would, and with no phase
+  // hook in between no collected page can belong to a dead process.
   FaultInjector* injector = chaos();
+  batch_.clear();
   for (std::size_t i = 0; i < config_.pages_per_wake; ++i) {
     // Injected scan interruption: abandon the rest of the quantum (pages not
     // yet consumed from the cursor are simply picked up next wake).
@@ -83,65 +84,28 @@ void Ksm::ScanQuantumSerial() {
     if (!cursor_.Next(process, vpn, wrapped)) {
       break;
     }
-    if (wrapped) {
-      // A full round completed: the unstable tree is rebuilt from scratch.
-      UnstableClear();
-      ++stats_.full_scans;
-    }
-    timing_.items += 1;
-    ScanOne(*process, vpn);
-  }
-}
-
-void Ksm::ScanQuantumPipelined(host::ThreadPool& pool) {
-  // Collect the quantum first. ScanOne never changes the process list, VMA
-  // layout, or mergeable flags (only PTEs and frame contents), so the cursor
-  // yields the exact sequence the serial interleaving would.
-  ChargeSpan span(machine_->latency());
-  FaultInjector* injector = chaos();
-  batch_.clear();
-  for (std::size_t i = 0; i < config_.pages_per_wake; ++i) {
-    if (injector != nullptr && injector->ShouldFail(FaultSite::kScanInterrupt)) {
-      injector->RecordDegradation();
-      break;
-    }
-    Process* process = nullptr;
-    Vpn vpn = 0;
-    bool wrapped = false;
-    if (!cursor_.Next(process, vpn, wrapped)) {
-      break;
-    }
     host::ScanItem item;
     item.process = process;
     item.as = &process->address_space();
-    item.pid = process->id();
     item.vpn = vpn;
     item.wrapped = wrapped;
     batch_.push_back(item);
   }
-  NotifyPhase(ScanPhase::kBatchCollected);
-  PruneDeadItems();
-  pipeline_.Run(pool, batch_, timing_, nullptr, [this](host::ScanItem& item) {
-    // A pruned item's process was torn down by the kBatchCollected hook; the
-    // cursor-side effects (round wrap) still apply, the page itself is skipped.
+  const auto scan = [this](host::ScanItem& item) {
     if (item.wrapped) {
+      // A full round completed: the unstable tree is rebuilt from scratch.
       UnstableClear();
       ++stats_.full_scans;
     }
-    if (item.process != nullptr) {
-      ScanOne(*item.process, item.vpn);
-    }
-  });
-}
-
-void Ksm::PruneDeadItems() {
-  // Null out batch items whose process died in the kBatchCollected hook, keeping
-  // the items themselves (their wrapped flags still drive round bookkeeping).
+    ScanOne(*item.process, item.vpn);
+  };
+  if (pool != nullptr) {
+    pipeline_.Run(*pool, batch_, timing_, scan);
+    return;
+  }
+  timing_.items += batch_.size();
   for (host::ScanItem& item : batch_) {
-    if (item.process != nullptr && machine_->processes()[item.pid] == nullptr) {
-      item.process = nullptr;
-      item.as = nullptr;
-    }
+    scan(item);
   }
 }
 

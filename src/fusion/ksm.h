@@ -207,12 +207,10 @@ class Ksm final : public FusionEngine {
     checksum_memo_pid_ = pid;
     return map;
   }
-  // The wake quantum's scan loop: serial reference (scan_threads<=1) or the
-  // streaming pipeline. Both produce bit-identical simulated results.
-  void ScanQuantumSerial();
-  void ScanQuantumPipelined(host::ThreadPool& pool);
-  // Invalidates batch items whose process a phase hook tore down mid-scan.
-  void PruneDeadItems();
+  // The wake quantum's scan loop: collects the quantum's pages, then scans
+  // them serially (null pool) or through the streaming pipeline. Both produce
+  // bit-identical simulated results.
+  void ScanQuantum(host::ThreadPool* pool);
   // Promotes an unstable match to the stable tree (write-protecting it).
   StableEntry* Stabilize(const UnstableItem& item);
   // Points (process, vpn) at the entry's frame and releases its duplicate.

@@ -20,7 +20,6 @@ VUsionEngine::VUsionEngine(Machine& machine, const FusionConfig& config)
     : FusionEngine(machine, config),
       content_(machine),
       cursor_(machine),
-      pipeline_(machine.memory()),
       stable_(StableCompare{this}),
       pool_(machine.buddy(), config.pool_frames, machine.rng().Fork()),
       deferred_(machine) {
@@ -68,13 +67,7 @@ void VUsionEngine::Run() {
   deferred_.Drain(pool_);
   const auto scan_start = std::chrono::steady_clock::now();
   NotifyPhase(ScanPhase::kQuantumStart);
-  // Fetched every quantum: the Machine replaces its pool when another engine
-  // asks for more threads.
-  if (host::ThreadPool* host_pool = machine_->HostPool(config_.scan_threads)) {
-    ScanQuantumPipelined(*host_pool);
-  } else {
-    ScanQuantumSerial();
-  }
+  ScanQuantum();
   NotifyPhase(ScanPhase::kQuantumEnd);
   timing_.scan_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -83,7 +76,7 @@ void VUsionEngine::Run() {
   next_run_ = machine_->clock().now() + config_.wake_period;
 }
 
-void VUsionEngine::ScanQuantumSerial() {
+void VUsionEngine::ScanQuantum() {
   // Batch the quantum's charges; emits and phase hooks flush (see LatencyModel).
   ChargeSpan span(machine_->latency());
   FaultInjector* injector = chaos();
@@ -106,96 +99,6 @@ void VUsionEngine::ScanQuantumSerial() {
     }
     timing_.items += 1;
     ScanOne(*process, vpn);
-  }
-}
-
-void VUsionEngine::ScanQuantumPipelined(host::ThreadPool& host_pool) {
-  // Collect the quantum first; ScanOne mutates only PTEs and frames, never the
-  // process/VMA structure the cursor iterates, so the sequence matches the serial
-  // interleaving.
-  ChargeSpan span(machine_->latency());
-  FaultInjector* injector = chaos();
-  batch_.clear();
-  for (std::size_t i = 0; i < config_.pages_per_wake; ++i) {
-    if (injector != nullptr && injector->ShouldFail(FaultSite::kScanInterrupt)) {
-      injector->RecordDegradation();
-      break;
-    }
-    Process* process = nullptr;
-    Vpn vpn = 0;
-    bool wrapped = false;
-    if (!cursor_.Next(process, vpn, wrapped)) {
-      break;
-    }
-    host::ScanItem item;
-    item.process = process;
-    item.as = &process->address_space();
-    item.pid = process->id();
-    item.vpn = vpn;
-    item.wrapped = wrapped;
-    batch_.push_back(item);
-  }
-  NotifyPhase(ScanPhase::kBatchCollected);
-  PruneDeadItems();
-  // Pre-pass filter: hash only pages the serial scan body would hash. The
-  // predicate mirrors ScanOne's path to Act (managed pages only relocate,
-  // accessed/young candidates are skipped) and runs before any merge. It is
-  // advisory: a wrong guess costs host time only — a skipped page that the
-  // merge does hash goes through HashContent serially, and a wasted snapshot
-  // is dropped by PrimeHash's generation check. (Items after a cursor wrap see
-  // the pre-wrap round_ here; same advisory slack.)
-  const auto filter = [this](const Pte& pte, const host::ScanItem& item) {
-    if (pte.huge() && config_.thp_aware &&
-        (item.vpn & (kPagesPerHugePage - 1)) != 0) {
-      return false;  // THP considered only at its base VPN
-    }
-    const PageInfo* info = nullptr;
-    const auto pit = pages_.find(item.process->id());
-    if (pit != pages_.end()) {
-      const auto it = pit->second.find(item.vpn);
-      if (it != pit->second.end()) {
-        info = &it->second;
-      }
-    }
-    if (info != nullptr && info->managed) {
-      return false;  // (fake) merged: re-randomized without rehashing
-    }
-    if (config_.working_set_estimation) {
-      if (IdleTracker::IsAccessed(*item.as, item.vpn)) {
-        return false;  // in the working set: candidacy is dropped, no hash
-      }
-      if (info == nullptr) {
-        return false;  // first idle sighting only records candidacy
-      }
-      if (round_ < info->candidate_round + config_.min_idle_rounds) {
-        return false;  // not idle long enough yet
-      }
-    }
-    const FrameId frame =
-        pte.frame + (pte.huge() ? (item.vpn & (kPagesPerHugePage - 1)) : 0);
-    return machine_->memory().refcount(frame) == 0;  // fork-shared: kernel's CoW
-  };
-  pipeline_.Run(host_pool, batch_, timing_, filter, [this](host::ScanItem& item) {
-    // A pruned item's process was torn down by the kBatchCollected hook; the
-    // cursor-side effects (round wrap) still apply, the page itself is skipped.
-    if (item.wrapped) {
-      ++round_;
-      ++stats_.full_scans;
-    }
-    if (item.process != nullptr) {
-      ScanOne(*item.process, item.vpn);
-    }
-  });
-}
-
-void VUsionEngine::PruneDeadItems() {
-  // Null out batch items whose process died in the kBatchCollected hook, keeping
-  // the items themselves (their wrapped flags still drive round bookkeeping).
-  for (host::ScanItem& item : batch_) {
-    if (item.process != nullptr && machine_->processes()[item.pid] == nullptr) {
-      item.process = nullptr;
-      item.as = nullptr;
-    }
   }
 }
 
@@ -674,18 +577,6 @@ void VUsionEngine::AuditInvariants(AuditContext& ctx) const {
                        " is still live (mapped or refcounted)";
               });
   }
-}
-
-void VUsionEngine::ForEachStableEntry(
-    const std::function<void(FrameId, const std::vector<std::pair<std::uint32_t, Vpn>>&)>& fn)
-    const {
-  stable_.InOrder([&fn](StableEntry* const& e) {
-    std::vector<std::pair<std::uint32_t, Vpn>> sharers;
-    for (const Sharer& s : e->sharers) {
-      sharers.emplace_back(s.process->id(), s.vpn);
-    }
-    fn(e->frame, sharers);
-  });
 }
 
 bool VUsionEngine::IsManaged(const Process& process, Vpn vpn) const {

@@ -79,10 +79,6 @@ class VUsionEngine final : public FusionEngine {
   [[nodiscard]] RandomizedPool& pool() { return pool_; }
   [[nodiscard]] DeferredFreeQueue& deferred_queue() { return deferred_; }
   [[nodiscard]] std::uint64_t round() const { return round_; }
-  // Test/debug helper: visits (frame, sharer (process id, vpn) list) per entry.
-  void ForEachStableEntry(
-      const std::function<void(FrameId, const std::vector<std::pair<std::uint32_t, Vpn>>&)>&
-          fn) const;
 
   // Savestates (DESIGN.md §13).
   [[nodiscard]] bool SupportsSnapshot() const override { return true; }
@@ -122,12 +118,9 @@ class VUsionEngine final : public FusionEngine {
       kPtePresent | kPteReserved | kPteCacheDisable;
 
   void ScanOne(Process& process, Vpn vpn);
-  // The wake quantum's scan loop: serial reference (scan_threads<=1) or the
-  // streaming pipeline. Both produce bit-identical simulated results.
-  void ScanQuantumSerial();
-  void ScanQuantumPipelined(host::ThreadPool& pool);
-  // Invalidates batch items whose process a phase hook tore down mid-scan.
-  void PruneDeadItems();
+  // The wake quantum's scan loop. It is serial at every scan_threads: a host
+  // pool never paid for VUsion's scan (DESIGN.md §12).
+  void ScanQuantum();
   // Removes all access and (fake) merges the page (the SB-enforcing action).
   void Act(Process& process, Vpn vpn, Pte* pte);
   // Moves an entry's backing to a fresh random frame (per-round re-randomization).
@@ -142,9 +135,7 @@ class VUsionEngine final : public FusionEngine {
 
   ChargedContent content_;
   ScanCursor cursor_;
-  host::ParallelScanPipeline pipeline_;
   host::ScanTiming timing_;
-  std::vector<host::ScanItem> batch_;
   // Node and StableEntry storage for the stable tree; declared before it so it
   // outlives the tree's destructor.
   Arena arena_;

@@ -272,7 +272,7 @@ void Wpf::HashCandidates(std::vector<Candidate>& candidates) {
       items[i].frame = candidates[i].frame;
       items[i].index = i;
     }
-    pipeline_.Run(*pool, items, timing_, nullptr, [&](host::ScanItem& item) {
+    pipeline_.Run(*pool, items, timing_, [&](host::ScanItem& item) {
       Candidate& c = candidates[item.index];
       c.hash = content_.Hash(c.frame);
     });

@@ -26,13 +26,13 @@ void MaxRelaxed(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
 
 }  // namespace
 
-void ParallelScanPipeline::ResolvePreMerge(ScanItem& item, const Phase1Filter& filter) const {
+void ParallelScanPipeline::ResolvePreMerge(ScanItem& item) const {
   if (item.frame == kInvalidFrame) {
     if (item.as == nullptr) {
       return;
     }
     const Pte* pte = item.as->GetPte(item.vpn);
-    if (pte == nullptr || !pte->present() || (filter && !filter(*pte, item))) {
+    if (pte == nullptr || !pte->present()) {
       return;
     }
     item.frame = pte->frame;
@@ -44,14 +44,14 @@ void ParallelScanPipeline::ResolvePreMerge(ScanItem& item, const Phase1Filter& f
 }
 
 void ParallelScanPipeline::Run(ThreadPool& pool, std::vector<ScanItem>& items,
-                               ScanTiming& timing, const Phase1Filter& filter,
+                               ScanTiming& timing,
                                const std::function<void(ScanItem&)>& merge_one) {
-  // Serial pre-pass: PTE-resolve, filter, and pre-merge generation capture
-  // all read the batch's pre-merge state — they cannot overlap the merge, but
-  // they are cheap relative to hashing, which is all the workers do.
+  // Serial pre-pass: PTE-resolve and pre-merge generation capture both read
+  // the batch's pre-merge state — they cannot overlap the merge, but they are
+  // cheap relative to hashing, which is all the workers do.
   const std::uint64_t prepass_start = NowNs();
   for (ScanItem& item : items) {
-    ResolvePreMerge(item, filter);
+    ResolvePreMerge(item);
   }
 
   std::atomic<std::uint64_t> hash_last_end{0};
@@ -63,7 +63,7 @@ void ParallelScanPipeline::Run(ThreadPool& pool, std::vector<ScanItem>& items,
       for (std::size_t i = begin; i < end; ++i) {
         ScanItem& item = items[i];
         if (item.frame == kInvalidFrame) {
-          continue;  // not present, or filtered out pre-merge
+          continue;  // not present pre-merge
         }
         item.snapshot = memory_->PeekHash(item.frame);
         item.hashed = true;

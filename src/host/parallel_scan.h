@@ -1,13 +1,13 @@
-// Deterministic streaming scan pipeline shared by the fusion engines
+// Deterministic streaming scan pipeline shared by KSM and WPF
 // (DESIGN.md §14). Simulated results are bit-identical to the serial scan body
 // at every thread count and batch size.
 //
-// A serial pre-pass on the calling thread performs the resolve/filter steps
-// (they read pre-merge state, so they cannot overlap the merge) and records
-// each page's pre-merge content generation. Workers then hash fixed-size
-// chunks concurrently *with the merge*, holding PhysicalMemory's scan gate
-// shared (content mutators take it exclusive), and publish completion through
-// the pool's ticket-ordered stream: chunk k is consumable once chunks 0..k are
+// A serial pre-pass on the calling thread resolves each page's frame (it reads
+// pre-merge state, so it cannot overlap the merge) and records the frame's
+// pre-merge content generation. Workers then hash fixed-size chunks
+// concurrently *with the merge*, holding PhysicalMemory's scan gate shared
+// (content mutators take it exclusive), and publish completion through the
+// pool's ticket-ordered stream: chunk k is consumable once chunks 0..k are
 // done. The calling thread consumes ready items in canonical order, running
 // the engine's unchanged per-page scan body and helping to hash unclaimed
 // chunks whenever it runs ahead of the workers. Hashing is speculative — the
@@ -41,9 +41,8 @@ namespace host {
 // collection time; the pre-pass and the hash workers fill frame/snapshot; the
 // merge hands the item back to the engine's callback.
 struct ScanItem {
-  Process* process = nullptr;       // engine cookie; filters may read it (immutable fields only)
+  Process* process = nullptr;       // engine cookie
   const AddressSpace* as = nullptr; // PTE resolution target; null if frame is preset
-  std::uint32_t pid = 0;            // process id, valid even after the process dies
   Vpn vpn = 0;
   bool wrapped = false;             // cursor completed a full round before this page
   std::size_t index = 0;            // engine cookie (e.g. candidate array position)
@@ -73,23 +72,18 @@ class ParallelScanPipeline {
  public:
   explicit ParallelScanPipeline(PhysicalMemory& memory) : memory_(&memory) {}
 
-  // Engine-supplied predicate deciding whether a resolved page is worth
-  // hashing. Runs on the calling thread in the pre-pass, before any merge: it
-  // must not write anything. Null = hash every present page.
-  using Phase1Filter = std::function<bool(const Pte&, const ScanItem&)>;
-
   // Streams `items` through `pool` and invokes merge_one(item) serially on the
   // calling thread for every item, in order. Hash chunks hold
   // min(32, max(1, items/4)) pages. Chunk/merge timing is accumulated into
   // `timing` (the engine wraps the whole scan section for scan_ns itself).
   void Run(ThreadPool& pool, std::vector<ScanItem>& items, ScanTiming& timing,
-           const Phase1Filter& filter, const std::function<void(ScanItem&)>& merge_one);
+           const std::function<void(ScanItem&)>& merge_one);
 
  private:
-  // Resolves the page's frame through the const PTE walk and the filter,
-  // unless the engine preset it, and records premerge_gen. Leaves frame
-  // invalid if the page is absent or filtered out.
-  void ResolvePreMerge(ScanItem& item, const Phase1Filter& filter) const;
+  // Resolves the page's frame through the const PTE walk, unless the engine
+  // preset it, and records premerge_gen. Leaves frame invalid if the page is
+  // absent.
+  void ResolvePreMerge(ScanItem& item) const;
 
   PhysicalMemory* memory_;
 };

@@ -14,9 +14,4 @@ bool IdleTracker::TestAndClearAccessed(AddressSpace& as, Vpn vpn) {
   return accessed;
 }
 
-bool IdleTracker::IsAccessed(const AddressSpace& as, Vpn vpn) {
-  const Pte* pte = as.GetPte(vpn);
-  return pte != nullptr && pte->accessed();
-}
-
 }  // namespace vusion

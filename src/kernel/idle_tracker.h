@@ -15,9 +15,6 @@ class IdleTracker {
   // Returns whether the page was accessed since the last clear, then clears the
   // accessed bit. Works on 4 KB PTEs and huge PMD entries alike.
   static bool TestAndClearAccessed(AddressSpace& as, Vpn vpn);
-
-  // Read-only probe.
-  static bool IsAccessed(const AddressSpace& as, Vpn vpn);
 };
 
 }  // namespace vusion

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -101,10 +102,19 @@ TEST(ChaosParityTest, ChaosOffAndZeroRateChaosAreBitIdentical) {
   }
 }
 
-class ChaosCampaignTest : public ::testing::TestWithParam<EngineKind> {};
+class ChaosCampaignTest : public ::testing::TestWithParam<EngineKind> {
+ protected:
+  void SetUp() override {
+    // The TSan CI job forces scan_threads via the environment; this test owns
+    // the thread count explicitly.
+    unsetenv("VUSION_SCAN_THREADS");
+  }
+};
 
 // The fixed known-good seeds the regular suite pins: a short fault-injected
-// campaign on each engine must hold every invariant.
+// campaign on each engine must hold every invariant, and must be the same
+// campaign at 4 scan threads as at 1 — the host thread count never changes
+// which faults fire.
 TEST_P(ChaosCampaignTest, KnownGoodSeedHoldsAllInvariants) {
   for (const std::uint64_t seed : {1, 2}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -121,6 +131,16 @@ TEST_P(ChaosCampaignTest, KnownGoodSeedHoldsAllInvariants) {
     EXPECT_TRUE(result.ok) << result.repro;
     EXPECT_GT(result.audits, 0u);
     EXPECT_GT(result.checks, 0u);
+
+    options.scan_threads = 4;
+    const CampaignResult threaded = FuzzCampaign(options).Run();
+    EXPECT_TRUE(threaded.ok) << threaded.repro;
+    EXPECT_TRUE(threaded.schedule == result.schedule)
+        << FormatSchedule(result.schedule) << "\nvs\n" << FormatSchedule(threaded.schedule);
+    EXPECT_EQ(threaded.faults_injected, result.faults_injected);
+    EXPECT_EQ(threaded.audits, result.audits);
+    EXPECT_EQ(threaded.checks, result.checks);
+    EXPECT_EQ(threaded.tolerated_throws, result.tolerated_throws);
   }
 }
 

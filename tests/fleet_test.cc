@@ -1,15 +1,18 @@
 // Fleet determinism and isolation tests: stepping N Machines host-parallel
 // under the quantum barrier must be bit-identical to serial stepping — per
 // Machine: engine stats, frames saved, final clock value, and the full trace
-// event stream — at every fleet thread count × scan thread count combination.
-// And chaos inside one Machine must never perturb its siblings.
+// event stream — at every fleet thread count, with VUsion members and with
+// KSM members whose scans stream through their own pools. And chaos inside
+// one Machine must never perturb its siblings.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "src/fleet/fleet.h"
+#include "src/fusion/engine_factory.h"
 #include "src/fusion/fusion_engine.h"
 
 namespace vusion {
@@ -18,13 +21,14 @@ namespace {
 constexpr std::size_t kMachines = 8;
 constexpr std::size_t kVmsPerMachine = 2;
 
-fleet::FleetConfig SmallFleetConfig(std::size_t fleet_threads, std::size_t scan_threads) {
+fleet::FleetConfig SmallFleetConfig(std::size_t fleet_threads, std::size_t scan_threads,
+                                    EngineKind engine = EngineKind::kVUsion) {
   fleet::FleetConfig config;
   config.machine_count = kMachines;
   config.host_threads = fleet_threads;
   config.vms_per_machine = kVmsPerMachine;
   config.quantum = 2 * kMillisecond;
-  config.scenario.engine = EngineKind::kVUsion;
+  config.scenario.engine = engine;
   config.scenario.machine.frame_count = 1u << 13;  // 32 MB per Machine
   config.scenario.fusion.wake_period = 1 * kMillisecond;
   config.scenario.fusion.pages_per_wake = 256;
@@ -48,8 +52,9 @@ struct MachineResult {
 
 std::vector<MachineResult> RunFleet(std::size_t fleet_threads, std::size_t scan_threads,
                                     bool chaos_in_machine0 = false,
-                                    std::size_t pages_per_wake = 256) {
-  fleet::FleetConfig config = SmallFleetConfig(fleet_threads, scan_threads);
+                                    std::size_t pages_per_wake = 256,
+                                    EngineKind engine = EngineKind::kVUsion) {
+  fleet::FleetConfig config = SmallFleetConfig(fleet_threads, scan_threads, engine);
   config.scenario.fusion.pages_per_wake = pages_per_wake;
   fleet::Fleet fleet(config);
   for (std::size_t m = 0; m < fleet.size(); ++m) {
@@ -108,28 +113,34 @@ class FleetParityTest : public ::testing::Test {
 };
 
 TEST_F(FleetParityTest, ParallelSteppingIsBitIdenticalToSerial) {
-  const std::vector<MachineResult> reference = RunFleet(1, 1);
-  // Sanity: the fleet actually did fusion work worth comparing.
-  std::uint64_t total_saved = 0;
-  for (const MachineResult& r : reference) {
-    EXPECT_GT(r.stats.pages_scanned, 0u);
-    // Clocks reach at least fleet time; daemon overruns may push them past it.
-    EXPECT_GE(r.final_time, 40 * kMillisecond);
-    total_saved += r.frames_saved;
-  }
-  EXPECT_GT(total_saved, 0u);
+  // VUsion scans serially at every scan_threads, so the cells that give each
+  // member a scan pool run KSM, whose scans stream: fleet threads and member
+  // scan pools then run at once.
+  for (const EngineKind engine : {EngineKind::kVUsion, EngineKind::kKsm}) {
+    const std::vector<MachineResult> reference = RunFleet(1, 1, false, 256, engine);
+    // Sanity: the fleet actually did fusion work worth comparing.
+    std::uint64_t total_saved = 0;
+    for (const MachineResult& r : reference) {
+      EXPECT_GT(r.stats.pages_scanned, 0u);
+      // Clocks reach at least fleet time; daemon overruns may push them past it.
+      EXPECT_GE(r.final_time, 40 * kMillisecond);
+      total_saved += r.frames_saved;
+    }
+    EXPECT_GT(total_saved, 0u) << EngineKindName(engine);
 
-  for (const std::size_t fleet_threads : {1u, 2u, 8u}) {
-    for (const std::size_t scan_threads : {1u, 4u}) {
+    const std::size_t scan_threads = engine == EngineKind::kKsm ? 4 : 1;
+    for (const std::size_t fleet_threads : {1u, 2u, 8u}) {
       if (fleet_threads == 1 && scan_threads == 1) {
         continue;  // the reference itself
       }
-      const std::vector<MachineResult> parallel = RunFleet(fleet_threads, scan_threads);
+      const std::vector<MachineResult> parallel =
+          RunFleet(fleet_threads, scan_threads, false, 256, engine);
       ASSERT_EQ(parallel.size(), reference.size());
       for (std::size_t m = 0; m < reference.size(); ++m) {
         ExpectMachineResultsEqual(
             reference[m], parallel[m],
-            "machine " + std::to_string(m) + " fleet_threads=" + std::to_string(fleet_threads) +
+            std::string(EngineKindName(engine)) + " machine " + std::to_string(m) +
+                " fleet_threads=" + std::to_string(fleet_threads) +
                 " scan_threads=" + std::to_string(scan_threads));
       }
     }
@@ -137,19 +148,20 @@ TEST_F(FleetParityTest, ParallelSteppingIsBitIdenticalToSerial) {
 }
 
 TEST_F(FleetParityTest, StreamingScanCellsBitIdenticalToSerial) {
-  // Members with scan_threads > 1 stream their scans through their own
+  // KSM members with scan_threads > 1 stream their scans through their own
   // Machine's pool while the fleet pool steps Machines. A quantum of at most 7
   // pages streams in 1-page chunks, the most interleaved stream (256-page
   // quanta are covered by ParallelSteppingIsBitIdenticalToSerial). Every cell
   // must be bit-identical to the single-threaded serial reference.
   constexpr std::size_t kSmallQuantum = 7;
-  const std::vector<MachineResult> reference = RunFleet(1, 1, false, kSmallQuantum);
+  const std::vector<MachineResult> reference =
+      RunFleet(1, 1, false, kSmallQuantum, EngineKind::kKsm);
   struct Cell {
     std::size_t fleet_threads, scan_threads;
   };
   for (const Cell& cell : {Cell{2, 4}, Cell{8, 2}, Cell{8, 4}}) {
-    const std::vector<MachineResult> run =
-        RunFleet(cell.fleet_threads, cell.scan_threads, false, kSmallQuantum);
+    const std::vector<MachineResult> run = RunFleet(cell.fleet_threads, cell.scan_threads,
+                                                    false, kSmallQuantum, EngineKind::kKsm);
     ASSERT_EQ(run.size(), reference.size());
     for (std::size_t m = 0; m < reference.size(); ++m) {
       ExpectMachineResultsEqual(reference[m], run[m],

@@ -67,7 +67,7 @@ PipelineRun RunPipeline(ThreadPool& pool, std::size_t count, bool conflict) {
     }
     run.hashes.push_back(memory.HashContent(item.frame));
   };
-  pipeline.Run(pool, items, run.timing, nullptr, merge_one);
+  pipeline.Run(pool, items, run.timing, merge_one);
   return run;
 }
 

@@ -1,15 +1,17 @@
 // Savestate round-trip parity (DESIGN.md §13): saving a machine, restoring it
 // into a brand-new (Machine, engine) pair, and continuing the workload must be
 // bit-identical — stats, traces, timestamps, RNG streams — to never having
-// stopped. Checked as byte equality of the final snapshots across every engine
-// × scan-thread × scan-quantum cell, plus restore→immediate-resave idempotence
-// and fork-style fan-out divergence-only-through-inputs.
+// stopped. Checked as byte equality of the final snapshots across the engine
+// × scan-thread × scan-quantum cells, plus restore→immediate-resave
+// idempotence, fork-style fan-out divergence-only-through-inputs, and
+// VUsion's image not depending on scan_threads.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/chaos/invariant_auditor.h"
@@ -228,12 +230,44 @@ INSTANTIATE_TEST_SUITE_P(
     EngineMatrix, SnapshotParityTest,
     ::testing::Values(Cell{EngineKind::kKsm, 1}, Cell{EngineKind::kKsm, 4},
                       Cell{EngineKind::kWpf, 1}, Cell{EngineKind::kWpf, 4},
-                      Cell{EngineKind::kVUsion, 1}, Cell{EngineKind::kVUsion, 4},
+                      Cell{EngineKind::kVUsion, 1},
                       // Streaming at the most interleaved chunk size. (WPF's
                       // batch is a whole pass, whatever the quantum.)
-                      Cell{EngineKind::kKsm, 4, kChunkOneQuantum},
-                      Cell{EngineKind::kVUsion, 4, kChunkOneQuantum}),
+                      Cell{EngineKind::kKsm, 4, kChunkOneQuantum}),
     CellName);
+
+// Boots the cell, runs phase 1 and returns its image's sections, each as
+// (name, bytes), leaving out "config", which records the thread count itself.
+std::vector<std::pair<std::string, std::string>> SectionsExceptConfig(const Cell& cell) {
+  Machine machine(MakeMachineConfig());
+  std::unique_ptr<FusionEngine> engine =
+      MakeEngineExact(cell.kind, machine, MakeFusionConfig(cell));
+  engine->Install();
+  const std::vector<VirtAddr> bases = SetupProcesses(machine);
+  RunPhase(machine, bases, kPhase1Seed);
+  const std::string image = snapshot::SaveSnapshot(machine, engine.get(), cell.kind);
+  engine->Uninstall();
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& s : snapshot::InspectSnapshot(image).sections) {
+    if (s.name != "config") {
+      out.emplace_back(s.name, image.substr(s.offset, s.size));
+    }
+  }
+  return out;
+}
+
+void ExpectSameSections(const Cell& a, const Cell& b) {
+  const auto want = SectionsExceptConfig(a);
+  const auto got = SectionsExceptConfig(b);
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].first, got[i].first);
+    EXPECT_TRUE(want[i].second == got[i].second)
+        << "threads " << a.threads << " vs " << b.threads
+        << " (pages_per_wake=" << a.pages_per_wake << ") diverged in section '"
+        << want[i].first << "'";
+  }
+}
 
 // The determinism fence (DESIGN.md §14): hash-memo validity is serialized in
 // snapshots, so the installed-memo set must depend only on config and
@@ -243,37 +277,21 @@ INSTANTIATE_TEST_SUITE_P(
 // between the serial path and the pipeline — the pipeline primes pages the
 // serial body skips before hashing — which is fine: savestate determinism is
 // per config.) Checked as byte equality of every snapshot section except
-// "config" (which records the thread count itself) between 2- and 8-thread
-// runs of the same campaign, at 32-page and at 1-page hash chunks.
+// "config" between 2- and 8-thread runs of the same campaign, at 32-page and
+// at 1-page hash chunks.
 TEST(SnapshotParityTest, StreamingShapeDoesNotLeakIntoSnapshotBytes) {
-  const auto sections_except_config = [](std::size_t threads, std::size_t pages_per_wake) {
-    const Cell cell{EngineKind::kKsm, threads, pages_per_wake};
-    Machine machine(MakeMachineConfig());
-    std::unique_ptr<FusionEngine> engine =
-        MakeEngineExact(cell.kind, machine, MakeFusionConfig(cell));
-    engine->Install();
-    const std::vector<VirtAddr> bases = SetupProcesses(machine);
-    RunPhase(machine, bases, kPhase1Seed);
-    const std::string image = snapshot::SaveSnapshot(machine, engine.get(), cell.kind);
-    engine->Uninstall();
-    std::vector<std::pair<std::string, std::string>> out;
-    for (const auto& s : snapshot::InspectSnapshot(image).sections) {
-      if (s.name != "config") {
-        out.emplace_back(s.name, image.substr(s.offset, s.size));
-      }
-    }
-    return out;
-  };
   for (const std::size_t pages_per_wake : {std::size_t{256}, kChunkOneQuantum}) {
-    const auto two = sections_except_config(2, pages_per_wake);
-    const auto eight = sections_except_config(8, pages_per_wake);
-    ASSERT_EQ(two.size(), eight.size());
-    for (std::size_t i = 0; i < two.size(); ++i) {
-      EXPECT_EQ(two[i].first, eight[i].first);
-      EXPECT_TRUE(two[i].second == eight[i].second)
-          << "threads 2 vs 8 (pages_per_wake=" << pages_per_wake << ") diverged in section '"
-          << two[i].first << "'";
-    }
+    ExpectSameSections(Cell{EngineKind::kKsm, 2, pages_per_wake},
+                       Cell{EngineKind::kKsm, 8, pages_per_wake});
+  }
+}
+
+// VUsion scans serially at every scan_threads, so its 4-thread image is its
+// 1-thread image outside "config", hash memos included.
+TEST(SnapshotParityTest, VUsionImageIgnoresScanThreads) {
+  for (const std::size_t pages_per_wake : {std::size_t{256}, kChunkOneQuantum}) {
+    ExpectSameSections(Cell{EngineKind::kVUsion, 1, pages_per_wake},
+                       Cell{EngineKind::kVUsion, 4, pages_per_wake});
   }
 }
 

@@ -1,9 +1,9 @@
 // VM teardown at every scan phase boundary: a phase hook destroys a forked
 // child exactly when the engine announces the target phase, for each engine
-// and for both the serial and streaming scan paths. The engine must drop the
-// dead process's pages without touching freed state, keep its trees and rmaps
-// consistent (machine-wide audit), and keep serving the survivors. A phase
-// the engine's scan path does not announce must never reach the hook.
+// at 1 and 4 scan threads. The engine must drop the dead process's pages
+// without touching freed state, keep its trees and rmaps consistent
+// (machine-wide audit), and keep serving the survivors. A phase the engine
+// does not announce must never reach the hook, at any thread count.
 
 #include <gtest/gtest.h>
 
@@ -84,12 +84,11 @@ TEST_P(TeardownMidScanTest, EngineSurvivesTeardownAtPhaseBoundary) {
   engine->SetPhaseHook(nullptr);
   machine.Idle(20 * kMillisecond);
 
-  // WPF announces every phase. KSM and VUsion announce kBatchCollected only
-  // on the streaming path (threads > 1), and never kHashed: they hash while
-  // they merge.
-  const bool phase_emitted =
-      target_phase == ScanPhase::kQuantumStart || target_phase == ScanPhase::kQuantumEnd ||
-      kind == EngineKind::kWpf || (target_phase == ScanPhase::kBatchCollected && threads > 1);
+  // WPF announces every phase. KSM and VUsion announce only the quantum's
+  // start and end, whatever the thread count: they hash while they merge.
+  const bool phase_emitted = target_phase == ScanPhase::kQuantumStart ||
+                             target_phase == ScanPhase::kQuantumEnd ||
+                             kind == EngineKind::kWpf;
   if (phase_emitted) {
     EXPECT_GT(phase_hits, 0u) << ScanPhaseName(target_phase);
     EXPECT_GT(teardowns, 0u);
