@@ -230,10 +230,11 @@ INSTANTIATE_TEST_SUITE_P(
     EngineMatrix, SnapshotParityTest,
     ::testing::Values(Cell{EngineKind::kKsm, 1}, Cell{EngineKind::kKsm, 4},
                       Cell{EngineKind::kWpf, 1}, Cell{EngineKind::kWpf, 4},
-                      Cell{EngineKind::kVUsion, 1},
+                      Cell{EngineKind::kVUsion, 1}, Cell{EngineKind::kVUsion, 4},
                       // Streaming at the most interleaved chunk size. (WPF's
                       // batch is a whole pass, whatever the quantum.)
-                      Cell{EngineKind::kKsm, 4, kChunkOneQuantum}),
+                      Cell{EngineKind::kKsm, 4, kChunkOneQuantum},
+                      Cell{EngineKind::kVUsion, 4, kChunkOneQuantum}),
     CellName);
 
 // Boots the cell, runs phase 1 and returns its image's sections, each as
