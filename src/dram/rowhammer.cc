@@ -104,7 +104,6 @@ std::vector<FlipEvent> RowhammerEngine::HammerVictim(std::size_t bank, std::uint
     }
     flips.push_back(event);
     all_flips_.push_back(event);
-    ++total_flips_;
   }
   return flips;
 }
@@ -133,7 +132,6 @@ void RowhammerEngine::SaveState(snapshot::SnapshotWriter& w) const {
     w.U8(flip.bit);
     w.Bool(flip.applied);
   }
-  w.U64(total_flips_);
 }
 
 void RowhammerEngine::RestoreState(snapshot::SnapshotReader& r) {
@@ -155,7 +153,6 @@ void RowhammerEngine::RestoreState(snapshot::SnapshotReader& r) {
     flip.applied = r.Bool();
     all_flips_.push_back(flip);
   }
-  total_flips_ = r.U64();
 }
 
 }  // namespace vusion

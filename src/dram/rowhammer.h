@@ -55,7 +55,7 @@ class RowhammerEngine {
 
   [[nodiscard]] const std::vector<FlipEvent>& flips() const { return all_flips_; }
   // Lifetime flip count (telemetry harvests this).
-  [[nodiscard]] std::uint64_t total_flips() const { return total_flips_; }
+  [[nodiscard]] std::uint64_t total_flips() const { return all_flips_.size(); }
 
  private:
   std::vector<FlipEvent> HammerVictim(std::size_t bank, std::uint64_t victim_row);
@@ -67,7 +67,6 @@ class RowhammerEngine {
   std::unordered_set<std::uint64_t> flipped_this_epoch_;
   std::uint64_t epoch_seen_ = 0;
   std::vector<FlipEvent> all_flips_;
-  std::uint64_t total_flips_ = 0;
 };
 
 }  // namespace vusion

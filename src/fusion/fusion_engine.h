@@ -132,17 +132,11 @@ class FusionEngine : public Daemon, public SharingPolicy {
   void SaveCommon(snapshot::SnapshotWriter& w) const;
   void RestoreCommon(snapshot::SnapshotReader& r);
 
+  // Hooks are arbitrary user code (tests tear processes down, write pages,
+  // time accesses mid-scan); everything they trigger charges the live clock.
   void NotifyPhase(ScanPhase phase) {
     if (phase_hook_) {
-      // Hooks are arbitrary user code (tests tear processes down, write pages,
-      // time accesses mid-scan): settle any batched charges and run the hook
-      // with batching paused so everything it triggers — faults, timed reads —
-      // sees the exact unbatched clock.
-      LatencyModel& lm = machine_->latency();
-      const bool was_batching = lm.batching_enabled();
-      lm.set_batching_enabled(false);
       phase_hook_(*this, phase);
-      lm.set_batching_enabled(was_batching);
     }
   }
 

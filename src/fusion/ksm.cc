@@ -62,9 +62,6 @@ void Ksm::Run() {
 }
 
 void Ksm::ScanQuantum(host::ThreadPool* pool) {
-  // Batch the quantum's charges: noise is drawn per charge in the usual order,
-  // the clock advances once per flush (trace emits and phase hooks flush).
-  ChargeSpan span(machine_->latency());
   // Collect the quantum, then scan it. ScanOne never changes the process list,
   // VMA layout, or mergeable flags (only PTEs and frame contents), so the
   // cursor yields the sequence a page-by-page loop would, and with no phase
@@ -398,7 +395,6 @@ Pte* Ksm::EnsureSmallMapping(Process& process, Vpn vpn) {
     LatencyModel& lm = machine_->latency();
     lm.Charge(lm.config().huge_split);
     as.SplitHuge(vpn);
-    lm.FlushPending();
     machine_->trace().Emit(machine_->clock().now(), TraceEventType::kSplit, process.id(),
                            vpn & ~(kPagesPerHugePage - 1), 0);
     ++stats_.thp_splits;
@@ -464,7 +460,6 @@ void Ksm::MergeInto(Process& process, Vpn vpn, StableEntry* entry) {
   machine_->buddy().Free(old);
 
   ++stats_.merges;
-  lm.FlushPending();
   machine_->trace().Emit(machine_->clock().now(), TraceEventType::kMerge, process.id(), vpn,
                          entry->frame);
   stats_.LogAllocation(entry->frame);
@@ -535,7 +530,6 @@ bool Ksm::HandleFault(Process& process, const PageFault& fault) {
   } else {
     ++stats_.unmerges_coa;
   }
-  machine_->latency().FlushPending();
   machine_->trace().Emit(machine_->clock().now(),
                          fault.access == AccessType::kWrite ? TraceEventType::kUnmergeCow
                                                             : TraceEventType::kUnmergeCoa,

@@ -77,8 +77,6 @@ void VUsionEngine::Run() {
 }
 
 void VUsionEngine::ScanQuantum() {
-  // Batch the quantum's charges; emits and phase hooks flush (see LatencyModel).
-  ChargeSpan span(machine_->latency());
   FaultInjector* injector = chaos();
   for (std::size_t i = 0; i < config_.pages_per_wake; ++i) {
     // Injected scan interruption: abandon the rest of the quantum (pages not
@@ -117,7 +115,6 @@ void VUsionEngine::ScanOne(Process& process, Vpn vpn) {
       LatencyModel& lm = machine_->latency();
       lm.Charge(lm.config().huge_split);
       as.SplitHuge(vpn);
-      lm.FlushPending();
       machine_->trace().Emit(machine_->clock().now(), TraceEventType::kSplit, process.id(),
                              vpn & ~(kPagesPerHugePage - 1), 0);
       ++stats_.thp_splits;
@@ -177,7 +174,6 @@ void VUsionEngine::Act(Process& process, Vpn vpn, Pte* pte) {
     // cursor reaches its siblings later.
     lm.Charge(lm.config().huge_split);
     as.SplitHuge(vpn);
-    lm.FlushPending();
     machine_->trace().Emit(machine_->clock().now(), TraceEventType::kSplit, process.id(),
                            vpn & ~(kPagesPerHugePage - 1), 0);
     ++stats_.thp_splits;
@@ -222,7 +218,6 @@ void VUsionEngine::Act(Process& process, Vpn vpn, Pte* pte) {
     entry->relocated_round = round_;
     ++frames_saved_;
     ++stats_.merges;
-    lm.FlushPending();
     machine_->trace().Emit(machine_->clock().now(), TraceEventType::kMerge, process.id(),
                            vpn, backing);
     const VmArea* vma = as.vmas().FindContaining(vpn);
@@ -243,7 +238,6 @@ void VUsionEngine::Act(Process& process, Vpn vpn, Pte* pte) {
     auto [inserted, insert_steps] = stable_.Insert(entry);
     entry->node = inserted;
     ++stats_.fake_merges;
-    lm.FlushPending();
     machine_->trace().Emit(machine_->clock().now(), TraceEventType::kFakeMerge,
                            process.id(), vpn, backing);
   }
@@ -274,7 +268,6 @@ void VUsionEngine::RelocateEntry(StableEntry* entry) {
   entry->frame = backing;
   entry->relocated_round = round_;
   machine_->memory().SetRefcount(backing, static_cast<std::uint32_t>(entry->sharers.size()));
-  machine_->latency().FlushPending();
   machine_->trace().Emit(machine_->clock().now(), TraceEventType::kRelocate,
                          entry->sharers.empty() ? 0 : entry->sharers.front().process->id(),
                          entry->sharers.empty() ? 0 : entry->sharers.front().vpn, backing);
@@ -356,7 +349,6 @@ bool VUsionEngine::HandleFault(Process& process, const PageFault& fault) {
   }
   pit->second.erase(it);
   ++stats_.unmerges_coa;
-  machine_->latency().FlushPending();
   machine_->trace().Emit(machine_->clock().now(), TraceEventType::kUnmergeCoa, process.id(),
                          fault.vpn, 0);
   return true;

@@ -46,8 +46,6 @@ void Wpf::Run() {
 }
 
 void Wpf::DoFusionPass() {
-  // Batch the pass's charges; emits and phase hooks flush (see LatencyModel).
-  ChargeSpan span(machine_->latency());
   const auto scan_start = std::chrono::steady_clock::now();
   NotifyPhase(ScanPhase::kQuantumStart);
   FaultInjector* injector = chaos();
@@ -310,7 +308,6 @@ void Wpf::MergeIntoCombined(const Candidate& candidate, Combined* entry) {
   lm.Charge(lm.config().buddy_free);
   machine_->buddy().Free(candidate.frame);
   ++stats_.merges;
-  machine_->latency().FlushPending();
   machine_->trace().Emit(machine_->clock().now(), TraceEventType::kMerge,
                          candidate.process->id(), candidate.vpn, entry->frame);
   stats_.LogAllocation(entry->frame);
@@ -373,7 +370,6 @@ bool Wpf::HandleFault(Process& process, const PageFault& fault) {
   rmap_.erase(it);
   DropRef(entry);
   ++stats_.unmerges_cow;
-  machine_->latency().FlushPending();
   machine_->trace().Emit(machine_->clock().now(), TraceEventType::kUnmergeCow, process.id(),
                          fault.vpn, fresh);
   return true;

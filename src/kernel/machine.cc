@@ -350,7 +350,6 @@ void Machine::Save(snapshot::SnapshotWriter& w) {
   // mutable_config() tweaks (noise sigma ablations) are state.
   w.BeginSection("latency");
   WriteLatencyConfig(w, latency_->config());
-  w.Bool(latency_->batching_enabled());
   WriteRngState(w, latency_->noise_rng_state());
   const LatencyModel::NoiseCacheState noise = latency_->noise_cache_state();
   for (const double g : noise.gauss) {
@@ -474,7 +473,6 @@ void Machine::Restore(snapshot::SnapshotReader& r) {
 
   r.OpenSection("latency");
   latency_->mutable_config() = ReadLatencyConfig(r);
-  latency_->set_batching_enabled(r.Bool());
   const Rng::State noise_rng = ReadRngState(r);
   LatencyModel::NoiseCacheState noise;
   for (double& g : noise.gauss) {

@@ -54,6 +54,8 @@ struct LatencyConfig {
 };
 
 // Applies latencies to a clock, with optional noise from a dedicated RNG stream.
+// Every Charge and ChargeExact advances the clock before it returns, so any
+// reader of clock().now() sees every cost charged before it.
 class LatencyModel {
  public:
   // Noise draws are precomputed in batches of this size (even: refills consume
@@ -128,55 +130,15 @@ class LatencyModel {
         }
       }
     }
-    if (batching()) {
-      pending_ += cost;
-    } else {
-      clock_->Advance(cost);
-    }
+    clock_->Advance(cost);
     return cost;
   }
 
   // Charges without noise (for bookkeeping costs where jitter is irrelevant).
   SimTime ChargeExact(SimTime base) {
-    if (batching()) {
-      pending_ += base;
-    } else {
-      clock_->Advance(base);
-    }
+    clock_->Advance(base);
     return base;
   }
-
-  // --- Batched charging (see ChargeSpan below) ---
-  //
-  // Inside an open batch, Charge/ChargeExact draw their noise exactly as in
-  // unbatched operation (same RNG calls, same order, same costs) but accumulate
-  // the costs instead of advancing the clock per call; the accumulated total is
-  // applied in one Advance at flush. Because VirtualClock::Advance is a pure
-  // sum, the flushed clock is bit-identical to the unbatched clock — provided
-  // every mid-span reader of clock().now() (trace emits, daemon scheduling)
-  // calls FlushPending() first. Batches nest; only the outermost close flushes
-  // implicitly.
-  void BeginBatch() { ++batch_depth_; }
-  void EndBatch() {
-    if (--batch_depth_ == 0) {
-      FlushPending();
-    }
-  }
-  // Applies any accumulated cost to the clock. Must be called before reading
-  // clock().now() inside an open batch; harmless (and O(1)) otherwise.
-  void FlushPending() {
-    if (pending_ > 0) {
-      clock_->Advance(pending_);
-      pending_ = 0;
-    }
-  }
-  // Parity toggle: when disabled, every charge advances the clock immediately
-  // even inside a span.
-  void set_batching_enabled(bool enabled) {
-    FlushPending();
-    batching_enabled_ = enabled;
-  }
-  [[nodiscard]] bool batching_enabled() const { return batching_enabled_; }
 
   [[nodiscard]] const LatencyConfig& config() const { return config_; }
   LatencyConfig& mutable_config() { return config_; }
@@ -209,7 +171,6 @@ class LatencyModel {
   void RestoreNoiseState(const Rng::State& rng, const NoiseCacheState& cache);
 
  private:
-  [[nodiscard]] bool batching() const { return batch_depth_ > 0 && batching_enabled_; }
   [[nodiscard]] bool fast_batch() const { return !std::isnan(fast_sigma_); }
   // Draw i's gaussian exactly as NextGaussian produced (or would produce) it.
   [[nodiscard]] double ExactGaussian(int i) const;
@@ -229,9 +190,6 @@ class LatencyModel {
   LatencyConfig config_;
   VirtualClock* clock_;
   Rng rng_;
-  SimTime pending_ = 0;
-  int batch_depth_ = 0;
-  bool batching_enabled_ = true;
   int noise_pos_ = kNoiseBatch;
   // Sigma approx_ was computed with, or NaN while the batch is exact, so that
   // no sigma selects the fast path.
@@ -247,20 +205,6 @@ class LatencyModel {
   double u2_[kNoisePairs] = {};
   double gauss_[kNoiseBatch] = {};   // exact batch: libm gaussians
   double factor_[kNoiseBatch] = {};  // exact batch: libm factors
-};
-
-// RAII batch scope for a homogeneous run of charges (one scan pass, one page's
-// worth of tree descends). Open around hot loops; emit paths inside must flush
-// before timestamping (the engines' trace emits do).
-class ChargeSpan {
- public:
-  explicit ChargeSpan(LatencyModel& model) : model_(&model) { model_->BeginBatch(); }
-  ~ChargeSpan() { model_->EndBatch(); }
-  ChargeSpan(const ChargeSpan&) = delete;
-  ChargeSpan& operator=(const ChargeSpan&) = delete;
-
- private:
-  LatencyModel* model_;
 };
 
 }  // namespace vusion

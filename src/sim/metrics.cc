@@ -253,7 +253,7 @@ Counter& MetricsRegistry::GetCounter(const std::string& name, const MetricLabels
   }
   lookup_.emplace(key, order_.size());
   order_.push_back({name, labels, MetricKind::kCounter, counters_.size()});
-  counters_.push_back(Counter(&enabled_));
+  counters_.push_back(Counter());
   return counters_.back();
 }
 
@@ -264,7 +264,7 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name, const MetricLabels& la
   }
   lookup_.emplace(key, order_.size());
   order_.push_back({name, labels, MetricKind::kGauge, gauges_.size()});
-  gauges_.push_back(Gauge(&enabled_));
+  gauges_.push_back(Gauge());
   return gauges_.back();
 }
 
@@ -276,7 +276,7 @@ HistogramMetric& MetricsRegistry::GetHistogram(const std::string& name, const Me
   }
   lookup_.emplace(key, order_.size());
   order_.push_back({name, labels, MetricKind::kHistogram, histograms_.size()});
-  histograms_.push_back(HistogramMetric(&enabled_, std::move(bounds)));
+  histograms_.push_back(HistogramMetric(std::move(bounds)));
   return histograms_.back();
 }
 
@@ -318,7 +318,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 namespace vusion {
 
 void MetricsRegistry::SaveState(snapshot::SnapshotWriter& w) const {
-  w.Bool(enabled_);
   w.U64(order_.size());
   for (const Slot& slot : order_) {
     w.Str(slot.name);
@@ -355,10 +354,9 @@ void MetricsRegistry::SaveState(snapshot::SnapshotWriter& w) const {
 }
 
 void MetricsRegistry::RestoreState(snapshot::SnapshotReader& r) {
-  enabled_ = r.Bool();
   // Re-register through the find-or-create path so pre-existing handles (the
   // Machine's constructor-registered fault metrics) stay valid, then overwrite
-  // values directly (bypassing the enabled gate).
+  // values directly.
   const std::uint64_t n = r.Count(8);
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::string name = r.Str();

@@ -5,11 +5,10 @@
 // This is the simulator's *third clock* (see DESIGN.md, "Telemetry"): host-side
 // observation only. Recording never touches simulated state, charges no latency,
 // and draws no randomness, so simulated stats, traces, and timestamps are
-// bit-identical whether the registry is enabled or not (metrics_parity_test).
+// bit-identical however often the registry is harvested (metrics_parity_test).
 //
-// Recording is designed to be cheap when disabled: every handle is a stable
-// pointer into the registry and its record operation is a single inline
-// enabled-flag check — no lookup, no allocation, no branch beyond the flag.
+// Recording is cheap: every handle is a stable pointer into the registry and
+// its record operation is inline — no lookup, no allocation.
 
 #ifndef VUSION_SRC_SIM_METRICS_H_
 #define VUSION_SRC_SIM_METRICS_H_
@@ -39,40 +38,26 @@ class MetricsRegistry;
 // is a component's own counter (the registry mirrors it on harvest).
 class Counter {
  public:
-  void Add(std::uint64_t n = 1) {
-    if (*enabled_) {
-      value_ += n;
-    }
-  }
-  void Set(std::uint64_t v) {
-    if (*enabled_) {
-      value_ = v;
-    }
-  }
+  void Add(std::uint64_t n = 1) { value_ += n; }
+  void Set(std::uint64_t v) { value_ = v; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(const bool* enabled) : enabled_(enabled) {}
+  Counter() = default;
   std::uint64_t value_ = 0;
-  const bool* enabled_;
 };
 
 // Point-in-time level (free frames, pool occupancy, current n).
 class Gauge {
  public:
-  void Set(double v) {
-    if (*enabled_) {
-      value_ = v;
-    }
-  }
+  void Set(double v) { value_ = v; }
   [[nodiscard]] double value() const { return value_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(const bool* enabled) : enabled_(enabled) {}
+  Gauge() = default;
   double value_ = 0.0;
-  const bool* enabled_;
 };
 
 // Cumulative histogram over fixed upper-bound buckets (last bucket is +inf).
@@ -80,9 +65,6 @@ class Gauge {
 class HistogramMetric {
  public:
   void Record(double x) {
-    if (!*enabled_) {
-      return;
-    }
     std::size_t i = 0;
     while (i < bounds_.size() && x > bounds_[i]) {
       ++i;
@@ -107,15 +89,14 @@ class HistogramMetric {
 
  private:
   friend class MetricsRegistry;
-  HistogramMetric(const bool* enabled, std::vector<double> bounds)
-      : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0), enabled_(enabled) {}
+  explicit HistogramMetric(std::vector<double> bounds)
+      : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {}
   std::vector<double> bounds_;
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  const bool* enabled_;
 };
 
 // Default exponential bucket bounds for simulated-nanosecond latencies.
@@ -185,9 +166,6 @@ class MetricsRegistry {
   void SaveState(snapshot::SnapshotWriter& w) const;
   void RestoreState(snapshot::SnapshotReader& r);
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
   // Find-or-create. Handles are stable for the registry's lifetime; calling again
   // with the same name+labels returns the same handle. Histogram bounds are fixed
   // by the first registration.
@@ -212,7 +190,6 @@ class MetricsRegistry {
 
   static std::string SlotKey(const std::string& name, const MetricLabels& labels);
 
-  bool enabled_ = true;
   std::unordered_map<std::string, std::size_t> lookup_;  // SlotKey -> order_ index
   std::vector<Slot> order_;                              // registration order
   std::deque<Counter> counters_;  // deque: stable addresses for handles

@@ -41,7 +41,11 @@ inline constexpr std::uint64_t kMagic = 0x53535653'4e4f4953ull;  // "SIONVSSS"
 //   v5: the byte-ordered tree mode removed. The FusionConfig record lost its
 //       byte-ordered-trees flag byte, and KSM's section its unstable rb-tree
 //       preorder block (the per-hash chains are the only unstable structure).
-inline constexpr std::uint32_t kVersion = 5;
+//   v6: batched charging and the metrics on/off switch removed. The latency
+//       section lost its batching flag byte, the metrics section its enabled
+//       flag byte, and the dram section the rowhammer flip count (the flip
+//       log's length is the count).
+inline constexpr std::uint32_t kVersion = 6;
 inline constexpr std::size_t kHeaderBytes = 20;  // magic + version + count + crc
 
 // Structured restore failure: carries the name of the section (or "header")

@@ -243,100 +243,6 @@ struct ScanOutcome {
   SimTime final_time = 0;
 };
 
-// --- Batched-vs-unbatched charge parity ---
-//
-// The scan loops batch their latency charges (one clock Advance per flush
-// instead of per charge). Batching is pure host-side mechanics: noise is drawn
-// per charge in the same order and the clock is a pure sum, so disabling it
-// must leave every simulated statistic and the final timestamp bit-identical —
-// including across CoW unmerges, THP splits, and trace emits that read the
-// clock mid-scan.
-
-ScanOutcome RunBatchingScenario(EngineKind kind, bool batched) {
-  MachineConfig machine_config;
-  machine_config.frame_count = 1u << 14;
-  machine_config.seed = 7;
-  Machine machine(machine_config);
-  machine.latency().set_batching_enabled(batched);
-  FusionConfig fusion_config;
-  fusion_config.wake_period = 1 * kMillisecond;
-  fusion_config.pages_per_wake = 256;
-  fusion_config.pool_frames = 1024;
-  fusion_config.wpf_period = 20 * kMillisecond;
-  ScopedEngine engine(kind, machine, fusion_config);
-
-  constexpr std::size_t kVms = 3;
-  constexpr std::size_t kPages = 128;
-  std::vector<Process*> procs;
-  std::vector<VirtAddr> bases;
-  for (std::size_t p = 0; p < kVms; ++p) {
-    Process& proc = machine.CreateProcess();
-    procs.push_back(&proc);
-    const VirtAddr base = proc.AllocateRegion(kPages, PageType::kAnonymous, true, false);
-    bases.push_back(base);
-    for (std::size_t i = 0; i < kPages; ++i) {
-      if (i % 3 == 0) {
-        proc.SetupMapPattern(VaddrToVpn(base) + i, 0x7700 + (i % 20));  // duplicates
-      } else {
-        proc.SetupMapPattern(VaddrToVpn(base) + i, 0x660000 + p * 4096 + i);
-      }
-    }
-  }
-  machine.Idle(120 * kMillisecond);
-  // Fault merged pages apart and let the engine re-merge: exercises the
-  // mid-scan flush points (trace emits, fault-path timed reads).
-  Rng rng(1234);
-  for (int step = 0; step < 200; ++step) {
-    const std::size_t p = rng.NextBelow(kVms);
-    const std::size_t page = rng.NextBelow(kPages);
-    procs[p]->Write64(bases[p] + page * kPageSize, rng.Next());
-    if (step % 10 == 0) {
-      machine.Idle(2 * kMillisecond);
-    }
-  }
-  machine.Idle(150 * kMillisecond);
-
-  const FusionStats& stats = engine->stats();
-  ScanOutcome result;
-  result.pages_scanned = stats.pages_scanned;
-  result.merges = stats.merges;
-  result.fake_merges = stats.fake_merges;
-  result.unmerges_cow = stats.unmerges_cow;
-  result.unmerges_coa = stats.unmerges_coa;
-  result.zero_page_merges = stats.zero_page_merges;
-  result.full_scans = stats.full_scans;
-  result.frames_saved = engine->frames_saved();
-  result.final_time = machine.clock().now();
-  ExpectAuditClean(machine, engine.get());
-  return result;
-}
-
-class BatchingParityTest : public ::testing::TestWithParam<EngineKind> {};
-
-TEST_P(BatchingParityTest, BatchedAndUnbatchedChargesAreBitIdentical) {
-  const ScanOutcome batched = RunBatchingScenario(GetParam(), /*batched=*/true);
-  const ScanOutcome unbatched = RunBatchingScenario(GetParam(), /*batched=*/false);
-
-  EXPECT_EQ(batched.pages_scanned, unbatched.pages_scanned);
-  EXPECT_EQ(batched.merges, unbatched.merges);
-  EXPECT_EQ(batched.fake_merges, unbatched.fake_merges);
-  EXPECT_EQ(batched.unmerges_cow, unbatched.unmerges_cow);
-  EXPECT_EQ(batched.unmerges_coa, unbatched.unmerges_coa);
-  EXPECT_EQ(batched.zero_page_merges, unbatched.zero_page_merges);
-  EXPECT_EQ(batched.full_scans, unbatched.full_scans);
-  EXPECT_EQ(batched.frames_saved, unbatched.frames_saved);
-  EXPECT_EQ(batched.final_time, unbatched.final_time);
-  EXPECT_GT(batched.merges + batched.fake_merges, 0u);
-  EXPECT_GT(batched.unmerges_cow + batched.unmerges_coa, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, BatchingParityTest,
-    ::testing::Values(EngineKind::kKsm, EngineKind::kVUsion, EngineKind::kWpf),
-    [](const ::testing::TestParamInfo<EngineKind>& info) {
-      return std::string(EngineKindName(info.param));
-    });
-
 // --- Serial-vs-parallel scan parity ---
 //
 // FusionConfig::scan_threads parallelizes only KSM's and WPF's speculative host

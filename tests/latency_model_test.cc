@@ -140,67 +140,6 @@ TEST(LatencyModelTest, ZeroChargeIsFree) {
   EXPECT_EQ(clock.now(), 0u);
 }
 
-// A batched span must reproduce the unbatched run bit-for-bit: same per-charge
-// costs (same RNG draws in the same order) and the same final clock; only the
-// number of Advance calls differs.
-TEST(LatencyModelTest, BatchedSpanMatchesUnbatchedBitForBit) {
-  LatencyConfig config;
-  config.noise_sigma = 0.04;
-
-  VirtualClock ref_clock;
-  LatencyModel ref(config, ref_clock, Rng(42));
-  ref.set_batching_enabled(false);
-  std::vector<SimTime> ref_costs;
-  for (int i = 0; i < 1000; ++i) {
-    ref_costs.push_back(ref.Charge(100 + i % 7));
-    if (i % 3 == 0) {
-      ref_costs.push_back(ref.ChargeExact(25));
-    }
-  }
-
-  VirtualClock clock;
-  LatencyModel model(config, clock, Rng(42));
-  std::vector<SimTime> costs;
-  {
-    ChargeSpan span(model);
-    for (int i = 0; i < 1000; ++i) {
-      costs.push_back(model.Charge(100 + i % 7));
-      if (i % 3 == 0) {
-        costs.push_back(model.ChargeExact(25));
-      }
-    }
-    // Mid-span reads settle through FlushPending and see the exact clock.
-    model.FlushPending();
-    EXPECT_EQ(clock.now(), ref_clock.now());
-  }
-  EXPECT_EQ(costs, ref_costs);
-  EXPECT_EQ(clock.now(), ref_clock.now());
-}
-
-// Nested spans only flush at the outermost close; disabling batching flushes
-// immediately and makes further charges advance the clock directly.
-TEST(LatencyModelTest, NestedSpansAndDisableFlush) {
-  LatencyConfig config;
-  config.noise_sigma = 0.0;
-  VirtualClock clock;
-  LatencyModel model(config, clock, Rng(5));
-  {
-    ChargeSpan outer(model);
-    model.Charge(10);
-    {
-      ChargeSpan inner(model);
-      model.Charge(20);
-    }
-    EXPECT_EQ(clock.now(), 0u);  // still pending: outer span is open
-    model.set_batching_enabled(false);
-    EXPECT_EQ(clock.now(), 30u);  // disabling settles the pending total
-    model.Charge(5);
-    EXPECT_EQ(clock.now(), 35u);  // unbatched even inside the span
-    model.set_batching_enabled(true);
-  }
-  EXPECT_EQ(clock.now(), 35u);
-}
-
 // One operation of a differential stream: a charge of `base` under `sigma`,
 // or a ChargeExact.
 struct NoiseOp {
@@ -240,57 +179,48 @@ SimTime Apply(ReferenceNoise& ref, const NoiseOp& op) {
 }
 
 // The fast kernel against the always-libm reference: at every position of
-// seeded streams (every sigma, batching off and on, a noise stream with and
-// without a pending Box-Muller spare) each cost, the clock, the reported
-// batch and the noise stream state match bit for bit; and the state restored
-// into another model at that position carries on exactly like the reference.
+// seeded streams (every sigma, a noise stream with and without a pending
+// Box-Muller spare) each cost, the clock, the reported batch and the noise
+// stream state match bit for bit; and the state restored into another model
+// at that position carries on exactly like the reference.
 TEST(LatencyModelTest, FastNoiseMatchesLibmReferenceBitForBit) {
   constexpr std::size_t kOps = 200;
   constexpr std::size_t kContinue = kBatch + 6;  // crosses the next refill
   std::uint64_t seed = 0;
   for (const double sigma : {0.01, 0.04, 0.047, 0.048, 0.1, 0.5, 2.0}) {
-    for (const bool batching : {false, true}) {
-      for (const bool spare : {false, true}) {
-        ++seed;
-        SCOPED_TRACE("sigma " + std::to_string(sigma) + (batching ? " batched" : "") +
-                     (spare ? " spare" : ""));
-        const std::vector<NoiseOp> ops = NoiseStream(seed, sigma, kOps + kContinue);
-        Rng noise_rng(1000 + seed);
-        if (spare) {
-          noise_rng.NextGaussian();  // leaves a spare: batches straddle pairs
-        }
-        LatencyConfig config;
-        config.noise_sigma = sigma;
-        VirtualClock clock;
-        LatencyModel model(config, clock, noise_rng);
-        model.set_batching_enabled(batching);
-        ReferenceNoise ref(noise_rng);
-        SimTime ref_now = 0;
-        ChargeSpan span(model);
-        for (std::size_t n = 0; n < kOps; ++n) {
-          const SimTime cost = Apply(model, ops[n]);
-          ASSERT_EQ(cost, Apply(ref, ops[n])) << "op " << n;
-          ref_now += cost;
-          // Batched costs accumulate between settles; settle every few ops.
-          if (!batching || n % 8 == 7) {
-            model.FlushPending();
-            ASSERT_EQ(clock.now(), ref_now) << "op " << n;
-          }
-          ASSERT_EQ(NoiseStateDiff(model, ref), "") << "op " << n;
+    for (const bool spare : {false, true}) {
+      ++seed;
+      SCOPED_TRACE("sigma " + std::to_string(sigma) + (spare ? " spare" : ""));
+      const std::vector<NoiseOp> ops = NoiseStream(seed, sigma, kOps + kContinue);
+      Rng noise_rng(1000 + seed);
+      if (spare) {
+        noise_rng.NextGaussian();  // leaves a spare: batches straddle pairs
+      }
+      LatencyConfig config;
+      config.noise_sigma = sigma;
+      VirtualClock clock;
+      LatencyModel model(config, clock, noise_rng);
+      ReferenceNoise ref(noise_rng);
+      SimTime ref_now = 0;
+      for (std::size_t n = 0; n < kOps; ++n) {
+        const SimTime cost = Apply(model, ops[n]);
+        ASSERT_EQ(cost, Apply(ref, ops[n])) << "op " << n;
+        ref_now += cost;
+        ASSERT_EQ(clock.now(), ref_now) << "op " << n;
+        ASSERT_EQ(NoiseStateDiff(model, ref), "") << "op " << n;
 
-          // Restore over a model holding a fast batch of its own.
-          VirtualClock fresh_clock;
-          LatencyModel fresh(config, fresh_clock, Rng(7));
-          fresh.Charge(100);
-          fresh.RestoreNoiseState(model.noise_rng_state(), model.noise_cache_state());
-          ASSERT_EQ(NoiseStateDiff(fresh, ref), "") << "restored at op " << n;
-          ReferenceNoise forked = ref;
-          for (std::size_t k = n + 1; k <= n + kContinue; ++k) {
-            ASSERT_EQ(Apply(fresh, ops[k]), Apply(forked, ops[k]))
-                << "restored at op " << n << ", op " << k;
-          }
-          ASSERT_EQ(NoiseStateDiff(fresh, forked), "") << "restored at op " << n;
+        // Restore over a model holding a fast batch of its own.
+        VirtualClock fresh_clock;
+        LatencyModel fresh(config, fresh_clock, Rng(7));
+        fresh.Charge(100);
+        fresh.RestoreNoiseState(model.noise_rng_state(), model.noise_cache_state());
+        ASSERT_EQ(NoiseStateDiff(fresh, ref), "") << "restored at op " << n;
+        ReferenceNoise forked = ref;
+        for (std::size_t k = n + 1; k <= n + kContinue; ++k) {
+          ASSERT_EQ(Apply(fresh, ops[k]), Apply(forked, ops[k]))
+              << "restored at op " << n << ", op " << k;
         }
+        ASSERT_EQ(NoiseStateDiff(fresh, forked), "") << "restored at op " << n;
       }
     }
   }
@@ -300,7 +230,7 @@ TEST(LatencyModelTest, FastNoiseMatchesLibmReferenceBitForBit) {
 // 1 ns charge costs 1 without reading its factor. Base 1 at the edge of that
 // bound (0.047 inside, 0.048 outside) and after mid-batch sigma changes
 // across it and far past it must match the always-libm reference, with the
-// draw spent, at every position.
+// draw spent and the clock advanced, at every position.
 TEST(LatencyModelTest, UnitChargesMatchReferenceAcrossTheBound) {
   EXPECT_LT(std::sqrt(-2.0 * std::log(0x1p-53)), LatencyModel::kMaxAbsGaussian);
   EXPECT_LT(std::exp(0.047 * LatencyModel::kMaxAbsGaussian), 1.5);
@@ -308,30 +238,30 @@ TEST(LatencyModelTest, UnitChargesMatchReferenceAcrossTheBound) {
   constexpr double kSwitchTo[] = {0.04, 0.047, 0.048, 0.5, 2.0};
   constexpr SimTime kOtherBases[] = {2, 4, 14, 110};
   for (const double sigma : {0.047, 0.048}) {
-    for (const bool batching : {false, true}) {
-      SCOPED_TRACE("sigma " + std::to_string(sigma) + (batching ? " batched" : ""));
-      Rng ops(sigma < 0.0475 ? 31 : 32);
-      LatencyConfig config;
-      config.noise_sigma = sigma;
-      VirtualClock clock;
-      LatencyModel model(config, clock, Rng(77));
-      model.set_batching_enabled(batching);
-      ReferenceNoise ref(Rng(77));
-      ChargeSpan span(model);
-      double current = sigma;
-      for (int n = 0; n < 20 * kBatch; ++n) {
-        // Mostly the batch's own sigma; now and then a switch mid-batch.
-        if (n % kBatch == 40) {
-          current = kSwitchTo[ops.NextBelow(std::size(kSwitchTo))];
-        } else if (n % kBatch == 52) {
-          current = sigma;
-        }
-        const SimTime base =
-            ops.NextBelow(4) != 0 ? 1 : kOtherBases[ops.NextBelow(std::size(kOtherBases))];
-        model.mutable_config().noise_sigma = current;
-        ASSERT_EQ(model.Charge(base), ref.Charge(base, current)) << "op " << n;
-        ASSERT_EQ(NoiseStateDiff(model, ref), "") << "op " << n;
+    SCOPED_TRACE("sigma " + std::to_string(sigma));
+    Rng ops(sigma < 0.0475 ? 31 : 32);
+    LatencyConfig config;
+    config.noise_sigma = sigma;
+    VirtualClock clock;
+    LatencyModel model(config, clock, Rng(77));
+    ReferenceNoise ref(Rng(77));
+    SimTime ref_now = 0;
+    double current = sigma;
+    for (int n = 0; n < 20 * kBatch; ++n) {
+      // Mostly the batch's own sigma; now and then a switch mid-batch.
+      if (n % kBatch == 40) {
+        current = kSwitchTo[ops.NextBelow(std::size(kSwitchTo))];
+      } else if (n % kBatch == 52) {
+        current = sigma;
       }
+      const SimTime base =
+          ops.NextBelow(4) != 0 ? 1 : kOtherBases[ops.NextBelow(std::size(kOtherBases))];
+      model.mutable_config().noise_sigma = current;
+      const SimTime cost = model.Charge(base);
+      ASSERT_EQ(cost, ref.Charge(base, current)) << "op " << n;
+      ref_now += cost;
+      ASSERT_EQ(clock.now(), ref_now) << "op " << n;
+      ASSERT_EQ(NoiseStateDiff(model, ref), "") << "op " << n;
     }
   }
 }

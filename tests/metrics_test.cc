@@ -81,29 +81,6 @@ TEST(HistogramTest, BoundsFixedByFirstRegistration) {
   EXPECT_EQ(again.bounds().size(), 2u);
 }
 
-TEST(RegistryTest, DisabledModeDropsRecordings) {
-  MetricsRegistry registry;
-  registry.set_enabled(false);
-  Counter& c = registry.GetCounter("c");
-  Gauge& g = registry.GetGauge("g");
-  HistogramMetric& h = registry.GetHistogram("h", {}, {10.0});
-  c.Add(5);
-  c.Set(9);
-  g.Set(3.0);
-  h.Record(1.0);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
-  // Re-enabling resumes recording on the same handles.
-  registry.set_enabled(true);
-  c.Add(2);
-  g.Set(1.5);
-  h.Record(1.0);
-  EXPECT_EQ(c.value(), 2u);
-  EXPECT_DOUBLE_EQ(g.value(), 1.5);
-  EXPECT_EQ(h.count(), 1u);
-}
-
 TEST(SnapshotTest, EntriesInRegistrationOrderWithKeys) {
   MetricsRegistry registry;
   registry.GetCounter("b.count").Add(1);

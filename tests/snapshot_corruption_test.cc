@@ -199,7 +199,7 @@ TEST_F(SnapshotCorruptionTest, PayloadBitFlipsNameTheDamagedSection) {
 }
 
 // Any version but kVersion fails closed, naming the version it carries: a
-// future one, or the previous format (v3), for which there is no reader.
+// future one, or the previous format (v5), for which there is no reader.
 TEST_F(SnapshotCorruptionTest, FutureVersionRejected) {
   for (const std::uint32_t version : {snapshot::kVersion + 1, snapshot::kVersion - 1}) {
     std::string buffer = image();

@@ -17,6 +17,7 @@
 
 #include "src/chaos/fuzz_campaign.h"
 #include "src/host/thread_pool.h"
+#include "tools/cli_flags.h"
 
 namespace {
 
@@ -43,7 +44,7 @@ void PrintUsage() {
          "  --steps N         workload events per campaign (default 400)\n"
          "  --threads N       engine scan threads, at most "
       << vusion::host::ThreadPool::kMaxThreads << " (default 1)\n"
-         "  --rate R          per-visit injection probability (default 0.01)\n"
+         "  --rate R          per-visit injection probability in [0, 1] (default 0.01)\n"
          "  --audit-epoch N   audit every N events (default 1 = slow mode)\n"
          "  --fast-audit      shorthand for --audit-epoch 16\n"
          "  --snapshot-interval N  savestate checkpoint every N events; on a\n"
@@ -61,6 +62,15 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
       return nullptr;
     }
     return argv[++i];
+  };
+  auto need_decimal = [&](int& i, auto& field) {
+    const char* flag = argv[i];
+    const char* value = need_value(i);
+    if (value != nullptr && !vusion::cli::ParseDecimal(value, field)) {
+      std::cerr << "bad " << flag << " value: " << value << "\n";
+      return false;
+    }
+    return value != nullptr;
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -80,25 +90,22 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
         cli.engines = {kind};
       }
     } else if (arg == "--seed") {
-      if ((value = need_value(i)) == nullptr) {
+      if (!need_decimal(i, cli.seed_base)) {
         return false;
       }
-      cli.seed_base = std::strtoull(value, nullptr, 10);
     } else if (arg == "--seeds") {
-      if ((value = need_value(i)) == nullptr) {
+      if (!need_decimal(i, cli.seed_count)) {
         return false;
       }
-      cli.seed_count = std::strtoull(value, nullptr, 10);
     } else if (arg == "--steps") {
-      if ((value = need_value(i)) == nullptr) {
+      if (!need_decimal(i, cli.campaign.steps)) {
         return false;
       }
-      cli.campaign.steps = std::strtoull(value, nullptr, 10);
     } else if (arg == "--threads") {
       if ((value = need_value(i)) == nullptr) {
         return false;
       }
-      if (!vusion::ParseScanThreads(value, cli.campaign.scan_threads)) {
+      if (!vusion::cli::ParseScanThreads(value, cli.campaign.scan_threads)) {
         std::cerr << "bad --threads value: " << value << "\n";
         return false;
       }
@@ -106,17 +113,18 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
       if ((value = need_value(i)) == nullptr) {
         return false;
       }
-      cli.campaign.fault_rate = std::strtod(value, nullptr);
+      if (!vusion::cli::ParseFaultRate(value, cli.campaign.fault_rate)) {
+        std::cerr << "bad --rate value: " << value << "\n";
+        return false;
+      }
     } else if (arg == "--audit-epoch") {
-      if ((value = need_value(i)) == nullptr) {
+      if (!need_decimal(i, cli.campaign.audit_epoch)) {
         return false;
       }
-      cli.campaign.audit_epoch = std::strtoull(value, nullptr, 10);
     } else if (arg == "--snapshot-interval") {
-      if ((value = need_value(i)) == nullptr) {
+      if (!need_decimal(i, cli.campaign.snapshot_interval)) {
         return false;
       }
-      cli.campaign.snapshot_interval = std::strtoull(value, nullptr, 10);
     } else if (arg == "--fast-audit") {
       cli.campaign.audit_epoch = 16;
     } else if (arg == "--schedule") {

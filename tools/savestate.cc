@@ -23,10 +23,11 @@
 #include <string>
 #include <vector>
 
-#include "src/chaos/fuzz_campaign.h"  // engine token and thread-count parsing
+#include "src/chaos/fuzz_campaign.h"  // engine token parsing
 #include "src/host/thread_pool.h"
 #include "src/kernel/process.h"
 #include "src/snapshot/machine_snapshot.h"
+#include "tools/cli_flags.h"
 
 namespace {
 
@@ -87,6 +88,15 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
     }
     return argv[++i];
   };
+  auto need_decimal = [&](int& i, auto& field) {
+    const char* flag = argv[i];
+    const char* value = need_value(i);
+    if (value != nullptr && !vusion::cli::ParseDecimal(value, field)) {
+      std::cerr << "bad " << flag << " value: " << value << "\n";
+      return false;
+    }
+    return value != nullptr;
+  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
@@ -99,25 +109,22 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
         return false;
       }
     } else if (arg == "--seed") {
-      if ((value = need_value(i)) == nullptr) {
+      if (!need_decimal(i, cli.seed)) {
         return false;
       }
-      cli.seed = std::strtoull(value, nullptr, 10);
     } else if (arg == "--steps") {
-      if ((value = need_value(i)) == nullptr) {
+      if (!need_decimal(i, cli.steps)) {
         return false;
       }
-      cli.steps = std::strtoull(value, nullptr, 10);
     } else if (arg == "--idle") {
-      if ((value = need_value(i)) == nullptr) {
+      if (!need_decimal(i, cli.idle_ms)) {
         return false;
       }
-      cli.idle_ms = std::strtoull(value, nullptr, 10);
     } else if (arg == "--threads") {
       if ((value = need_value(i)) == nullptr) {
         return false;
       }
-      if (!vusion::ParseScanThreads(value, cli.threads)) {
+      if (!vusion::cli::ParseScanThreads(value, cli.threads)) {
         std::cerr << "bad --threads value: " << value << "\n";
         return false;
       }
