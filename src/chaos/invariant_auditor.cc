@@ -143,11 +143,9 @@ AuditReport InvariantAuditor::Audit(FusionEngine* engine) {
   ctx.Check(machine.llc().ValidateFrameLineCounters(), [] {
     return std::string("LLC per-frame line counters disagree with residency");
   });
-  if (machine.l1() != nullptr) {
-    ctx.Check(machine.l1()->ValidateFrameLineCounters(), [] {
-      return std::string("L1 per-frame line counters disagree with residency");
-    });
-  }
+  ctx.Check(machine.l1().ValidateFrameLineCounters(), [] {
+    return std::string("L1 per-frame line counters disagree with residency");
+  });
 
   ++audits_run_;
   checks_total_ += ctx.checks;

@@ -1,6 +1,6 @@
 // A chunked bump allocator with size-bucketed free lists, for the small
 // fixed-size nodes the fusion engines churn through every scan pass (rbtree/AVL
-// nodes, stable entries, pass-cache hash-map nodes).
+// nodes, stable entries, WPF's combined entries).
 //
 // Why not the global heap: a steady-state scan pass allocates and frees tens of
 // thousands of ~64-byte nodes in tight loops; malloc's bookkeeping and the cache
@@ -29,8 +29,8 @@ class Arena {
  public:
   static constexpr std::size_t kChunkBytes = 64 * 1024;
   // Freed blocks up to this size are recycled through per-size free lists;
-  // larger blocks (rare: oversized STL buckets) are simply dropped until the
-  // arena is destroyed. Bounded waste in exchange for O(1) everything.
+  // larger blocks are simply dropped until the arena is destroyed. Bounded
+  // waste in exchange for O(1) everything.
   static constexpr std::size_t kMaxBucketBytes = 512;
   static constexpr std::size_t kGranularity = alignof(std::max_align_t);
 
@@ -106,41 +106,6 @@ class Arena {
   std::byte* chunk_end_ = nullptr;
   std::size_t total_bytes_ = 0;
   FreeBlock* free_lists_[kMaxBucketBytes / kGranularity + 1] = {};
-};
-
-// std-allocator adapter so node-based STL containers (the pass cache's
-// unordered_maps, the KSM rmap) draw their nodes from an Arena. Copies share the
-// underlying arena; equality is arena identity. The arena must outlive every
-// container bound to it.
-template <typename T>
-class ArenaStlAllocator {
- public:
-  using value_type = T;
-
-  explicit ArenaStlAllocator(Arena* arena) noexcept : arena_(arena) {}
-  template <typename U>
-  ArenaStlAllocator(const ArenaStlAllocator<U>& other) noexcept : arena_(other.arena()) {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(arena_->Allocate(n * sizeof(T)));
-  }
-  void deallocate(T* ptr, std::size_t n) noexcept {
-    arena_->Deallocate(ptr, n * sizeof(T));
-  }
-
-  [[nodiscard]] Arena* arena() const noexcept { return arena_; }
-
-  template <typename U>
-  bool operator==(const ArenaStlAllocator<U>& other) const noexcept {
-    return arena_ == other.arena();
-  }
-  template <typename U>
-  bool operator!=(const ArenaStlAllocator<U>& other) const noexcept {
-    return arena_ != other.arena();
-  }
-
- private:
-  Arena* arena_;
 };
 
 }  // namespace vusion

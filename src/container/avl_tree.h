@@ -6,6 +6,7 @@
 #define VUSION_SRC_CONTAINER_AVL_TREE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -106,15 +107,17 @@ class AvlTree {
   // Rebuilds from the same preorder stream on an empty tree.
   // produce(height, has_left, has_right) returns the node's value; on_node fires
   // with each freshly linked Node* in preorder (so callers holding back-pointers
-  // into the tree — WPF's Combined entries — can re-anchor them).
+  // into the tree — WPF's Combined entries — can re-anchor them). Fails closed
+  // like RbTree::ImportPreorder: false on a node count other than `count` or a
+  // nesting deeper than 2 * bit_width(count) levels.
   template <typename Producer, typename OnNode>
-  void ImportPreorder(std::size_t count, Producer&& produce, OnNode&& on_node) {
+  [[nodiscard]] bool ImportPreorder(std::size_t count, Producer&& produce, OnNode&& on_node) {
     assert(root_ == nullptr && size_ == 0);
     if (count == 0) {
-      return;
+      return true;
     }
-    root_ = ImportPreorderRecursive(produce, on_node);
-    size_ = count;
+    const auto levels = static_cast<std::size_t>(2 * std::bit_width(count));
+    return ImportPreorderRecursive(&root_, levels, count, produce, on_node) && size_ == count;
   }
 
  private:
@@ -129,20 +132,23 @@ class AvlTree {
   }
 
   template <typename Producer, typename OnNode>
-  Node* ImportPreorderRecursive(Producer& produce, OnNode& on_node) {
+  bool ImportPreorderRecursive(Node** link, std::size_t levels, std::size_t count,
+                               Producer& produce, OnNode& on_node) {
+    if (levels == 0 || size_ == count) {
+      return false;
+    }
     std::int32_t height = 1;
     bool has_left = false;
     bool has_right = false;
     Node* n = NewNode(produce(height, has_left, has_right));
     n->height = height;
+    *link = n;
+    ++size_;
     on_node(n);
-    if (has_left) {
-      n->left = ImportPreorderRecursive(produce, on_node);
-    }
-    if (has_right) {
-      n->right = ImportPreorderRecursive(produce, on_node);
-    }
-    return n;
+    return (!has_left ||
+            ImportPreorderRecursive(&n->left, levels - 1, count, produce, on_node)) &&
+           (!has_right ||
+            ImportPreorderRecursive(&n->right, levels - 1, count, produce, on_node));
   }
 
   static std::int32_t HeightOf(const Node* n) { return n == nullptr ? 0 : n->height; }

@@ -60,10 +60,9 @@ class FlatMap64 {
 
   [[nodiscard]] bool contains(std::uint64_t key) const { return FindSlot(key) != nullptr; }
 
-  // Prefetches the key's home cache line for an upcoming probe. The scan loop
-  // issues these while the latency model's noise draw (libm-heavy) is in
-  // flight, so the probe's likely cache miss overlaps transcendental math
-  // instead of stalling the probe itself.
+  // Prefetches the key's home cache line for an upcoming probe. KSM's scan loop
+  // issues these before the page's hash and descend charges, so the probe's
+  // likely cache miss overlaps that work instead of stalling the probe itself.
   void Prefetch(std::uint64_t key) const {
     if (!slots_.empty()) {
       __builtin_prefetch(&slots_[IndexOf(key)]);

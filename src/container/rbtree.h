@@ -12,6 +12,7 @@
 #ifndef VUSION_SRC_CONTAINER_RBTREE_H_
 #define VUSION_SRC_CONTAINER_RBTREE_H_
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <utility>
@@ -186,15 +187,20 @@ class RbTree {
   // Rebuilds from the same preorder stream. Must be called on an empty tree.
   // produce(red, has_left, has_right) returns the node's value; after each node
   // is linked, on_node(Node*) fires in preorder so callers can rebuild
-  // pointer/index maps into the tree's stored values.
+  // pointer/index maps into the tree's stored values. Returns false, and stops
+  // reading, once the stream's has-left/has-right flags yield a node count
+  // other than `count` or nest deeper than 2 * bit_width(count) levels, more
+  // than any red-black (or AVL) tree of `count` nodes has. The nodes read so
+  // far stay linked, so the destructor frees them.
   template <typename Producer, typename OnNode>
-  void ImportPreorder(std::size_t count, Producer&& produce, OnNode&& on_node) {
+  [[nodiscard]] bool ImportPreorder(std::size_t count, Producer&& produce, OnNode&& on_node) {
     assert(root_ == nullptr && size_ == 0);
     if (count == 0) {
-      return;
+      return true;
     }
-    root_ = ImportPreorderRecursive(nullptr, produce, on_node);
-    size_ = count;
+    const auto levels = static_cast<std::size_t>(2 * std::bit_width(count));
+    return ImportPreorderRecursive(&root_, nullptr, levels, count, produce, on_node) &&
+           size_ == count;
   }
 
  private:
@@ -208,22 +214,27 @@ class RbTree {
     ExportPreorderRecursive(n->right, fn);
   }
 
+  // Links the next streamed node at *link, then its subtrees, at most `levels`
+  // deep; false once a node is past that depth or past `count`.
   template <typename Producer, typename OnNode>
-  Node* ImportPreorderRecursive(Node* parent, Producer& produce, OnNode& on_node) {
+  bool ImportPreorderRecursive(Node** link, Node* parent, std::size_t levels, std::size_t count,
+                               Producer& produce, OnNode& on_node) {
+    if (levels == 0 || size_ == count) {
+      return false;
+    }
     bool red = false;
     bool has_left = false;
     bool has_right = false;
     Node* n = NewNode(produce(red, has_left, has_right));
     n->parent = parent;
     n->red = red;
+    *link = n;
+    ++size_;
     on_node(n);
-    if (has_left) {
-      n->left = ImportPreorderRecursive(n, produce, on_node);
-    }
-    if (has_right) {
-      n->right = ImportPreorderRecursive(n, produce, on_node);
-    }
-    return n;
+    return (!has_left ||
+            ImportPreorderRecursive(&n->left, n, levels - 1, count, produce, on_node)) &&
+           (!has_right ||
+            ImportPreorderRecursive(&n->right, n, levels - 1, count, produce, on_node));
   }
 
   static Node* Minimum(Node* n) {

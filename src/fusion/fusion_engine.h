@@ -125,6 +125,11 @@ class FusionEngine : public Daemon, public SharingPolicy {
   [[nodiscard]] virtual bool SupportsSnapshot() const { return false; }
   virtual void SaveState(snapshot::SnapshotWriter& w) const;
   virtual void RestoreState(snapshot::SnapshotReader& r);
+  // Drops the frames reserved_frames() counts without freeing them. The
+  // restore path calls it just before Machine::Restore replaces the allocator
+  // they came from, so tearing down a restore that fails later frees nothing
+  // into the restored machine; RestoreState loads the saved reserve.
+  virtual void ForgetReservedFrames() {}
 
  protected:
   // FusionStats, the daemon schedule, and the pause flag — shared by every

@@ -141,9 +141,9 @@ void Ksm::ScanOne(Process& process, Vpn vpn) {
   }
   // content_.Hash(frame) — the per-scan checksum KSM computes — unrolled so the
   // upcoming table probes (fingerprint slot, stable-content index bucket, this
-  // page's checksum-gate slot) prefetch while the charge's noise draw runs: the
-  // probes' cache misses hide behind the exp/log calls that dominate the scan
-  // profile. Charge order and value are exactly those of content_.Hash.
+  // page's checksum-gate slot) are prefetched before the hash's charge and the
+  // stable descend charge run. Charge order and value are exactly those of
+  // content_.Hash.
   const std::uint64_t hash = memory.HashContent(frame);
   if (!fps_slots_.empty()) {
     __builtin_prefetch(&fps_slots_[FpIndex(hash)]);
@@ -248,7 +248,6 @@ void Ksm::UnstableClear() {
   // the table passes half-used, so no compaction is needed here. The node pool
   // is recycled wholesale, keeping its capacity.
   ++fps_round_;
-  fps_stamped_ = 0;
   unstable_pool_.clear();
   unstable_live_ = 0;
 }
@@ -310,15 +309,10 @@ Ksm::StableEntry* Ksm::StableTreeLookup(FrameId frame) {
 }
 
 void Ksm::StableIndexInsert(StableEntry* entry) {
-  // The frame was hashed during this scan pass, so this re-read is memoized.
-  entry->index_hash = machine_->memory().HashContent(entry->frame);
   StableEntry*& head = stable_index_[entry->index_hash];
   entry->index_next = head;
   head = entry;
-  std::uint8_t& bucket = stable_filter_[StableFilterBucket(entry->index_hash)];
-  if (bucket != 255) {
-    ++bucket;
-  }
+  stable_filter_[StableFilterBucket(entry->index_hash)] = true;
 }
 
 void Ksm::StableIndexRemove(StableEntry* entry) {
@@ -419,6 +413,8 @@ Ksm::StableEntry* Ksm::Stabilize(const UnstableItem& item) {
   content_.ChargeTreeDescend(stable_.size());
   auto [node, steps] = stable_.Insert(entry);
   entry->node = node;
+  // The frame was hashed during this scan pass, so this re-read is memoized.
+  entry->index_hash = machine_->memory().HashContent(entry->frame);
   StableIndexInsert(entry);
   const auto accessed = static_cast<std::uint16_t>(pte->flags & kPteAccessed);
   LatencyModel& lm = machine_->latency();
@@ -702,8 +698,8 @@ void Ksm::SaveState(snapshot::SnapshotWriter& w) const {
 
   // Stable tree, structurally (preorder with colors): lookup results under
   // shared-frame content corruption depend on the node layout, so the restored
-  // tree must be the recorded shape. index_next chains are serialized with the
-  // hash index below, not here.
+  // tree must be the recorded shape. Each entry's stabilize-time hash is its
+  // key in the content index, which restore rebuilds from these hashes.
   std::unordered_map<const StableEntry*, std::uint32_t> index_of;
   w.U64(stable_.size());
   stable_.ExportPreorder([&](StableEntry* const& e, bool red, bool has_left,
@@ -717,33 +713,6 @@ void Ksm::SaveState(snapshot::SnapshotWriter& w) const {
     w.Bool(has_right);
   });
 
-  // Content-hash index: per bucket head, the equal-hash chain in chain order.
-  {
-    std::vector<std::pair<std::uint64_t, const StableEntry*>> buckets;
-    buckets.reserve(stable_index_.size());
-    stable_index_.ForEach([&buckets](std::uint64_t hash, StableEntry* const& head) {
-      buckets.emplace_back(hash, head);
-    });
-    std::sort(buckets.begin(), buckets.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w.U64(buckets.size());
-    for (const auto& [hash, head] : buckets) {
-      w.U64(hash);
-      std::vector<std::uint32_t> chain;
-      for (const StableEntry* e = head; e != nullptr; e = e->index_next) {
-        chain.push_back(index_of.at(e));
-      }
-      w.U32(static_cast<std::uint32_t>(chain.size()));
-      for (const std::uint32_t idx : chain) {
-        w.U32(idx);
-      }
-    }
-  }
-  // The counting filter saturates sticky (removals never decrement), so its
-  // bytes are state, not a memo: re-deriving them from the live index would
-  // break re-save parity.
-  w.Bytes(stable_filter_.data(), stable_filter_.size());
-
   {
     std::vector<std::uint64_t> keys;
     keys.reserve(rmap_.size());
@@ -756,43 +725,28 @@ void Ksm::SaveState(snapshot::SnapshotWriter& w) const {
     }
   }
 
-  // Unstable structure: the chain pool and slot table verbatim. Pool entries
-  // unlinked mid-round may hold dangling Process* — only entries reachable
-  // from a current-round chain are written.
-  std::vector<std::uint8_t> reachable(unstable_pool_.size(), 0);
+  // Unstable items: this round's chains, each in insertion order (all a lookup
+  // depends on), in ascending hash order so the bytes do not depend on the
+  // slot layout. The slot table and the pool are host state; restore
+  // re-inserts the items.
+  std::vector<const FpSlot*> chains;
   for (const FpSlot& s : fps_slots_) {
-    if (s.stamp != fps_round_) {
-      continue;
-    }
-    for (std::uint32_t i = s.head; i != kNoNode; i = unstable_pool_[i].next) {
-      reachable[i] = 1;
+    if (s.stamp == fps_round_) {
+      chains.push_back(&s);
     }
   }
-  w.U64(unstable_pool_.size());
-  for (std::size_t i = 0; i < unstable_pool_.size(); ++i) {
-    w.Bool(reachable[i] != 0);
-    if (reachable[i] == 0) {
-      continue;
-    }
-    const UnstableNode& node = unstable_pool_[i];
-    w.U32(node.item.frame);
-    w.U32(node.item.process->id());
-    w.U64(node.item.vpn);
-    w.U64(node.item.sort_hash);
-    w.U32(node.next);
-  }
-  w.U64(fps_slots_.size());
-  for (const FpSlot& s : fps_slots_) {
-    w.U64(s.hash);
-    w.U64(s.stamp);
-    w.U32(s.count);
-    w.U32(s.head);
-    w.U32(s.tail);
-  }
-  w.U64(fps_used_);
-  w.U64(fps_round_);
-  w.U64(fps_stamped_);
+  std::sort(chains.begin(), chains.end(),
+            [](const FpSlot* a, const FpSlot* b) { return a->hash < b->hash; });
   w.U64(unstable_live_);
+  for (const FpSlot* s : chains) {
+    for (std::uint32_t i = s->head; i != kNoNode; i = unstable_pool_[i].next) {
+      const UnstableItem& item = unstable_pool_[i].item;
+      w.U32(item.frame);
+      w.U32(item.process->id());
+      w.U64(item.vpn);
+      w.U64(item.sort_hash);
+    }
+  }
 
   {
     std::vector<std::uint32_t> pids;
@@ -833,7 +787,7 @@ void Ksm::RestoreState(snapshot::SnapshotReader& r) {
   const std::uint64_t node_count = r.Count(19);
   std::vector<StableEntry*> entries;
   entries.reserve(node_count);
-  stable_.ImportPreorder(
+  const bool imported = stable_.ImportPreorder(
       static_cast<std::size_t>(node_count),
       [&](bool& red, bool& has_left, bool& has_right) -> StableEntry* {
         auto* e = arena_.New<StableEntry>(StableEntry{});
@@ -847,76 +801,35 @@ void Ksm::RestoreState(snapshot::SnapshotReader& r) {
         return e;
       },
       [](StableTree::Node* node) { node->value->node = node; });
-
-  const auto entry_at = [&entries](std::uint32_t idx) -> StableEntry* {
-    if (idx >= entries.size()) {
-      throw snapshot::RestoreError("engine", "stable entry index out of range");
-    }
-    return entries[idx];
-  };
-
-  const std::uint64_t bucket_count = r.Count(13);
-  for (std::uint64_t b = 0; b < bucket_count; ++b) {
-    const std::uint64_t hash = r.U64();
-    const std::uint32_t chain_len = r.U32();
-    StableEntry* prev = nullptr;
-    for (std::uint32_t i = 0; i < chain_len; ++i) {
-      StableEntry* e = entry_at(r.U32());
-      if (prev == nullptr) {
-        stable_index_.insert_or_assign(hash, e);
-      } else {
-        prev->index_next = e;
-      }
-      prev = e;
-    }
+  if (!imported) {
+    throw snapshot::RestoreError("engine", "malformed stable tree preorder");
   }
-  r.Bytes(stable_filter_.data(), stable_filter_.size());
+  // Indexed under the saved hash, not a fresh one: hashing here would move the
+  // hash-memo counters, and a flipped frame's live hash is not its index key.
+  for (StableEntry* e : entries) {
+    StableIndexInsert(e);
+  }
 
   const std::uint64_t rmap_count = r.Count(12);
   for (std::uint64_t i = 0; i < rmap_count; ++i) {
     const std::uint64_t key = r.U64();
-    rmap_.insert_or_assign(key, entry_at(r.U32()));
-  }
-
-  const std::uint64_t pool_count = r.Count(1);
-  unstable_pool_.clear();
-  unstable_pool_.resize(static_cast<std::size_t>(pool_count));
-  for (std::uint64_t i = 0; i < pool_count; ++i) {
-    if (!r.Bool()) {
-      continue;  // abandoned mid-round; the slot stays zeroed and unlinked
+    const std::uint32_t idx = r.U32();
+    if (idx >= entries.size()) {
+      throw snapshot::RestoreError("engine", "stable entry index out of range");
     }
-    UnstableNode& node = unstable_pool_[static_cast<std::size_t>(i)];
-    node.item.frame = r.U32();
-    node.item.process = KsmLiveProcess(*machine_, r.U32());
-    node.item.vpn = r.U64();
-    node.item.sort_hash = r.U64();
-    node.next = r.U32();
+    rmap_.insert_or_assign(key, entries[idx]);
   }
-  const std::uint64_t slot_count = r.Count(28);
-  if (slot_count != 0 && (slot_count & (slot_count - 1)) != 0) {
-    throw snapshot::RestoreError("engine", "fingerprint table size not a power of two");
-  }
-  fps_slots_.clear();
-  fps_slots_.resize(static_cast<std::size_t>(slot_count));
-  for (std::uint64_t i = 0; i < slot_count; ++i) {
-    FpSlot& s = fps_slots_[static_cast<std::size_t>(i)];
-    s.hash = r.U64();
-    s.stamp = r.U64();
-    s.count = r.U32();
-    s.head = r.U32();
-    s.tail = r.U32();
-  }
-  fps_mask_ = fps_slots_.empty() ? 0 : fps_slots_.size() - 1;
-  fps_used_ = static_cast<std::size_t>(r.U64());
-  fps_round_ = r.U64();
-  fps_stamped_ = r.U64();
-  unstable_live_ = static_cast<std::size_t>(r.U64());
-  fps_memo_idx_ = ~std::size_t{0};
-  fps_memo_hash_ = 0;
 
-  checksums_.clear();
-  checksum_memo_ = nullptr;
-  checksum_memo_pid_ = 0;
+  const std::uint64_t unstable_count = r.Count(24);
+  for (std::uint64_t i = 0; i < unstable_count; ++i) {
+    UnstableItem item;
+    item.frame = r.U32();
+    item.process = KsmLiveProcess(*machine_, r.U32());
+    item.vpn = r.U64();
+    item.sort_hash = r.U64();
+    UnstableInsert(item);
+  }
+
   const std::uint64_t checksum_pids = r.Count(12);
   for (std::uint64_t p = 0; p < checksum_pids; ++p) {
     const std::uint32_t pid = r.U32();

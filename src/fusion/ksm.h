@@ -160,7 +160,6 @@ class Ksm final : public FusionEngine {
         s.count = 0;
         s.head = kNoNode;
         s.tail = kNoNode;
-        ++fps_stamped_;
       }
       const auto idx = static_cast<std::uint32_t>(unstable_pool_.size());
       unstable_pool_.push_back(UnstableNode{item, kNoNode});
@@ -180,11 +179,11 @@ class Ksm final : public FusionEngine {
   [[nodiscard]] bool ValidateUnstableChains() const;
   // Stable-tree content lookup: the hash index until the first shared-frame
   // corruption, the reference tree descent from then on. Inline so the common
-  // unique-page outcome — counting-filter bucket zero, hash provably not
-  // indexed — is one array read with no call.
+  // unique-page outcome — filter bucket clear, hash provably not indexed — is
+  // one array read with no call.
   StableEntry* StableLookup(FrameId frame, std::uint64_t hash) {
     if (machine_->memory().shared_content_mutations() == 0) {
-      if (stable_filter_[StableFilterBucket(hash)] == 0) {
+      if (!stable_filter_[StableFilterBucket(hash)]) {
         return nullptr;  // filter miss: hash provably not in the index
       }
       return StableIndexLookup(frame, hash);
@@ -193,6 +192,8 @@ class Ksm final : public FusionEngine {
   }
   StableEntry* StableIndexLookup(FrameId frame, std::uint64_t hash);
   StableEntry* StableTreeLookup(FrameId frame);
+  // Links the entry into the content index and the filter under its
+  // index_hash, which the caller sets.
   void StableIndexInsert(StableEntry* entry);
   void StableIndexRemove(StableEntry* entry);
   // The pid's checksum-gate map, memoized across the scan loop's consecutive
@@ -290,7 +291,6 @@ class Ksm final : public FusionEngine {
   std::size_t fps_mask_ = 0;
   std::size_t fps_used_ = 0;  // slots with stamp != 0 (monotonic until FpGrow)
   std::uint64_t fps_round_ = 1;
-  std::uint64_t fps_stamped_ = 0;  // distinct hashes stamped this round
   // FpFind's memoized terminal probe index for fps_memo_hash_ (~0 = invalid;
   // dropped whenever FpGrow moves slots). Round bumps keep it valid: they move
   // nothing, and the probe path for a hash is a function of slot layout alone.
@@ -302,18 +302,19 @@ class Ksm final : public FusionEngine {
   // by StableLookup only while no shared-frame content mutation has ever
   // occurred — a mutated stable frame invalidates insert-time keys, and the
   // live-keyed tree descent is the reference behavior for that corrupted
-  // regime.
+  // regime. Host state: restore rebuilds it (and the filter) from the entries'
+  // saved hashes.
   FlatMap64<StableEntry*> stable_index_;
-  // Counting filter over stable_index_'s keys. Every unique page's stable
-  // lookup is a miss, and a zero bucket proves the probe hash absent without
-  // touching the index table at all; sized to stay L1-resident. Bytes saturate
-  // sticky at 255 (never decremented back below), which can only cost false
-  // positives, never a missed entry.
+  // One flag per bucket of index hashes, set when a hash is indexed and never
+  // cleared: a stale flag costs one index probe, never a missed entry. Every
+  // unique page's stable lookup is a miss, and a clear flag proves the probe
+  // hash absent without touching the index table; 4 KB stays L1-resident. It
+  // pays on scan_churn (DESIGN.md §11).
   static constexpr std::size_t kStableFilterBuckets = 4096;
   [[nodiscard]] std::size_t StableFilterBucket(std::uint64_t hash) const {
     return static_cast<std::size_t>(hash ^ (hash >> 32)) & (kStableFilterBuckets - 1);
   }
-  std::array<std::uint8_t, kStableFilterBuckets> stable_filter_{};
+  std::array<bool, kStableFilterBuckets> stable_filter_{};
   // Volatility gate, indexed per process so teardown drops a dead process's
   // checksums in O(its pages) instead of sweeping every tracked page.
   std::unordered_map<std::uint32_t, ChecksumMap> checksums_;

@@ -680,7 +680,7 @@ void VUsionEngine::RestoreState(snapshot::SnapshotReader& r) {
   const std::uint64_t node_count = r.Count(19);
   std::vector<StableEntry*> entries;
   entries.reserve(node_count);
-  stable_.ImportPreorder(
+  const bool imported = stable_.ImportPreorder(
       static_cast<std::size_t>(node_count),
       [&](bool& red, bool& has_left, bool& has_right) -> StableEntry* {
         auto* e = arena_.New<StableEntry>(StableEntry{});
@@ -700,6 +700,9 @@ void VUsionEngine::RestoreState(snapshot::SnapshotReader& r) {
         return e;
       },
       [](Tree::Node* node) { node->value->node = node; });
+  if (!imported || !ValidateTree()) {
+    throw snapshot::RestoreError("engine", "stable tree preorder is not a valid tree");
+  }
 
   pool_.RestoreState(r);
   deferred_.RestoreState(r);

@@ -48,6 +48,7 @@ class VUsionEngine final : public FusionEngine {
   }
   [[nodiscard]] std::uint64_t frames_saved() const override { return frames_saved_; }
   [[nodiscard]] std::size_t reserved_frames() const override { return pool_.pool_size(); }
+  void ForgetReservedFrames() override { pool_.Abandon(); }
 
   void Run() override;
 

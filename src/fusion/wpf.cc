@@ -530,7 +530,7 @@ void Wpf::RestoreState(snapshot::SnapshotReader& r) {
   std::vector<Combined*> entries;
   for (std::size_t shard = 0; shard < kShards; ++shard) {
     const std::uint64_t node_count = r.Count(19);
-    trees_[shard]->ImportPreorder(
+    const bool imported = trees_[shard]->ImportPreorder(
         static_cast<std::size_t>(node_count),
         [&](std::int32_t& height, bool& has_left, bool& has_right) -> Combined* {
           auto* e = arena_.New<Combined>(Combined{});
@@ -545,6 +545,12 @@ void Wpf::RestoreState(snapshot::SnapshotReader& r) {
           return e;
         },
         [](Tree::Node*) {});
+    if (!imported) {
+      throw snapshot::RestoreError("engine", "malformed shard tree preorder");
+    }
+  }
+  if (!ValidateTrees()) {
+    throw snapshot::RestoreError("engine", "restored WPF trees fail validation");
   }
 
   rmap_.clear();

@@ -18,7 +18,7 @@ const char* MachineConfig::CacheKeyError() const {
   if (frame_count > cache.max_frames()) {
     return "frame_count exceeds the frames the LLC geometry can key";
   }
-  if (enable_l1 && frame_count > l1_cache.max_frames()) {
+  if (frame_count > l1_cache.max_frames()) {
     return "frame_count exceeds the frames the L1 geometry can key";
   }
   return nullptr;
@@ -29,9 +29,7 @@ Machine::Machine(const MachineConfig& config) : config_(config), rng_(config.see
   // The caches check their geometry, and then the frame count against it,
   // before physical memory is sized by that count.
   llc_ = std::make_unique<Llc>(config.cache);
-  if (config.enable_l1) {
-    l1_ = std::make_unique<Llc>(config.l1_cache);
-  }
+  l1_ = std::make_unique<Llc>(config.l1_cache);
   if (const char* error = config.CacheKeyError()) {
     throw std::invalid_argument(std::string("Machine: ") + error);
   }
@@ -179,9 +177,7 @@ Khugepaged& Machine::EnableKhugepaged(const KhugepagedConfig& config) {
 }
 
 void Machine::FlushFrame(FrameId frame) {
-  if (l1_ != nullptr) {
-    l1_->FlushFrame(frame);
-  }
+  l1_->FlushFrame(frame);
   llc_->FlushFrame(frame);
 }
 
@@ -263,9 +259,7 @@ MetricsSnapshot Machine::CollectMetrics() {
     metrics_.GetCounter("cache.frame_flushes", labels).Set(cache.frame_flushes());
   };
   harvest_cache(*llc_, "llc");
-  if (l1_ != nullptr) {
-    harvest_cache(*l1_, "l1");
-  }
+  harvest_cache(*l1_, "l1");
   metrics_.GetCounter("dram.row_hits").Set(row_buffer_->row_hits());
   metrics_.GetCounter("dram.row_conflicts").Set(row_buffer_->row_conflicts());
   metrics_.GetCounter("dram.activations").Set(row_buffer_->total_activations());
@@ -299,10 +293,7 @@ Machine::Footprint Machine::MeasureFootprint() const {
   Footprint fp;
   fp.frame_table_bytes = memory_->frame_table_bytes();
   fp.materialized_bytes = memory_->materialized_bytes();
-  fp.cache_bytes = llc_->resident_bytes();
-  if (l1_ != nullptr) {
-    fp.cache_bytes += l1_->resident_bytes();
-  }
+  fp.cache_bytes = llc_->resident_bytes() + l1_->resident_bytes();
   fp.trace_bytes = trace_.resident_bytes();
   return fp;
 }
@@ -372,10 +363,7 @@ void Machine::Save(snapshot::SnapshotWriter& w) {
 
   w.BeginSection("cache");
   llc_->SaveState(w);
-  w.Bool(l1_ != nullptr);
-  if (l1_ != nullptr) {
-    l1_->SaveState(w);
-  }
+  l1_->SaveState(w);
   w.EndSection();
 
   w.BeginSection("dram");
@@ -499,13 +487,7 @@ void Machine::Restore(snapshot::SnapshotReader& r) {
 
   r.OpenSection("cache");
   llc_->RestoreState(r, memory_->frame_count());
-  const bool has_l1 = r.Bool();
-  if (has_l1 != (l1_ != nullptr)) {
-    throw RestoreError("cache", "L1 presence does not match the machine config");
-  }
-  if (l1_ != nullptr) {
-    l1_->RestoreState(r, memory_->frame_count());
-  }
+  l1_->RestoreState(r, memory_->frame_count());
   r.EndSection();
 
   r.OpenSection("dram");

@@ -41,13 +41,12 @@ struct MachineConfig {
   CacheConfig cache;
   // Private first-level cache (32 KB, 8-way by default) in front of the LLC.
   CacheConfig l1_cache{.line_size = 64, .ways = 8, .sets = 64};
-  bool enable_l1 = true;
   DramConfig dram;
   LatencyConfig latency;
   std::uint64_t seed = 42;
 
-  // Why the enabled caches cannot key a line of every frame, or nullptr if
-  // they can (CacheConfig::max_frames; the geometries must be valid). Machine
+  // Why the caches cannot key a line of every frame, or nullptr if they
+  // can (CacheConfig::max_frames; the geometries must be valid). Machine
   // construction throws std::invalid_argument on it, and snapshot config
   // decoding fails with "config".
   [[nodiscard]] const char* CacheKeyError() const;
@@ -68,8 +67,7 @@ class Machine {
   [[nodiscard]] PhysicalMemory& memory() { return *memory_; }
   [[nodiscard]] BuddyAllocator& buddy() { return *buddy_; }
   [[nodiscard]] Llc& llc() { return *llc_; }
-  // Null when the L1 level is disabled in the config.
-  [[nodiscard]] Llc* l1() { return l1_.get(); }
+  [[nodiscard]] Llc& l1() { return *l1_; }
   [[nodiscard]] DramMapping& dram_mapping() { return *dram_mapping_; }
   [[nodiscard]] RowBuffer& row_buffer() { return *row_buffer_; }
   [[nodiscard]] RowhammerEngine& rowhammer() { return *rowhammer_; }
@@ -252,7 +250,7 @@ class Machine {
   bool in_daemon_ = false;  // prevents daemon re-entry from daemon-issued work
 
   // Fault-path metric handles, pre-registered in the constructor so the hot path
-  // is a pointer deref + enabled check (see src/sim/metrics.h).
+  // is a pointer deref and an add (see src/sim/metrics.h).
   MetricsRegistry metrics_;
   Counter* fault_count_policy_ = nullptr;
   Counter* fault_count_demand_zero_ = nullptr;

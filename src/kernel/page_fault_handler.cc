@@ -25,7 +25,7 @@ void Machine::ChargedDataAccess(const Pte& pte, PhysAddr paddr) {
     rowhammer_->OnActivation(row_buffer_->Access(paddr));
     return;
   }
-  if (l1_ != nullptr && l1_->Access(paddr)) {
+  if (l1_->Access(paddr)) {
     latency_->Charge(lc.l1_hit);
     return;
   }
@@ -94,9 +94,7 @@ Machine::AccessResult Machine::Access(Process& process, VirtAddr vaddr, AccessTy
       // Prefetch fills the caches unless the mapping is uncacheable; it is silent
       // otherwise. (The Gruss et al. attack VUsion's cache-disable bit stops.)
       if (!pte.cache_disabled()) {
-        if (l1_ != nullptr) {
-          l1_->Access(paddr);
-        }
+        l1_->Access(paddr);
         llc_->Access(paddr);
       }
       latency_->Charge(lc.llc_hit);
@@ -140,9 +138,7 @@ void Machine::FlushCacheLine(Process& process, VirtAddr vaddr) {
   }
   const PhysAddr paddr =
       static_cast<PhysAddr>(frame) * kPageSize + (vaddr & (kPageSize - 1) & ~std::uint64_t{63});
-  if (l1_ != nullptr) {
-    l1_->Flush(paddr);
-  }
+  l1_->Flush(paddr);
   llc_->Flush(paddr);
 }
 

@@ -30,11 +30,15 @@ class RandomizedPool final : public FrameAllocator {
   ~RandomizedPool() override;
 
   // Savestates: slot contents (order = slot index = what the RNG draws over),
-  // draw RNG stream, and the lifetime counters. Restore overwrites the frames
-  // the constructor reserved — the Machine restore path rebuilds the buddy
-  // allocator wholesale afterwards, so no frames leak.
+  // draw RNG stream, and the lifetime counters. The restore path empties the
+  // pool (Abandon) before the Machine restore rebuilds the buddy allocator
+  // wholesale, so the frames the constructor reserved neither leak nor get
+  // freed twice; RestoreState then loads the saved slots.
   void SaveState(snapshot::SnapshotWriter& w) const;
   void RestoreState(snapshot::SnapshotReader& r);
+  // Forgets the reserved frames without returning them to the backing
+  // allocator, whose state a restore is about to replace.
+  void Abandon() { slots_.clear(); }
 
   // Optional chaos hook: injected failures make a draw fail outright (the
   // caller sees a transient OOM and must degrade gracefully).

@@ -120,7 +120,6 @@ inline void WriteMachineConfig(SnapshotWriter& w, const MachineConfig& c) {
   w.U32(c.frame_count);
   WriteCacheConfig(w, c.cache);
   WriteCacheConfig(w, c.l1_cache);
-  w.Bool(c.enable_l1);
   WriteDramConfig(w, c.dram);
   WriteLatencyConfig(w, c.latency);
   w.U64(c.seed);
@@ -131,7 +130,6 @@ inline MachineConfig ReadMachineConfig(SnapshotReader& r) {
   c.frame_count = r.U32();
   c.cache = ReadCacheConfig(r);
   c.l1_cache = ReadCacheConfig(r);
-  c.enable_l1 = r.Bool();
   c.dram = ReadDramConfig(r);
   c.latency = ReadLatencyConfig(r);
   c.seed = r.U64();

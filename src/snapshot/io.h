@@ -45,7 +45,13 @@ inline constexpr std::uint64_t kMagic = 0x53535653'4e4f4953ull;  // "SIONVSSS"
 //       section lost its batching flag byte, the metrics section its enabled
 //       flag byte, and the dram section the rowhammer flip count (the flip
 //       log's length is the count).
-inline constexpr std::uint32_t kVersion = 6;
+//   v7: KSM's engine section keeps merge state only. It lost the stable
+//       content index's bucket chains, the stable-lookup filter, the unstable
+//       pool with its reachability flags, the fingerprint slot table and its
+//       counters; the unstable items are written chain by chain, and restore
+//       rebuilds the host indexes. MachineConfig lost enable_l1 (the config
+//       record its byte, the cache section its L1 presence flag).
+inline constexpr std::uint32_t kVersion = 7;
 inline constexpr std::size_t kHeaderBytes = 20;  // magic + version + count + crc
 
 // Structured restore failure: carries the name of the section (or "header")

@@ -87,6 +87,7 @@ RestoredMachine RestoreSnapshot(std::string_view buffer) {
     // Installed before Machine::Restore so restored processes see the engine
     // as their sharing policy, exactly as on the saved machine.
     out.engine->Install();
+    out.engine->ForgetReservedFrames();
   }
   out.machine->Restore(r);
   if (out.engine != nullptr) {

@@ -6,7 +6,6 @@ Json Describe(const ScenarioConfig& config) {
   Json machine = Json::Object();
   machine.Set("frame_count", config.machine.frame_count);
   machine.Set("memory_mb", config.machine.frame_count * kPageSize / (1024.0 * 1024.0));
-  machine.Set("enable_l1", config.machine.enable_l1);
   machine.Set("llc_size_bytes", config.machine.cache.size_bytes());
   machine.Set("seed", config.machine.seed);
 

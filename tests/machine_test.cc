@@ -159,21 +159,6 @@ TEST(MachineTest, L1MakesRepeatedLineAccessFastest) {
             machine.latency().config().l1_hit + machine.latency().config().tlb_lookup);
 }
 
-TEST(MachineTest, L1CanBeDisabled) {
-  MachineConfig config = SmallMachine();
-  config.enable_l1 = false;
-  config.latency.noise_sigma = 0.0;
-  Machine machine(config);
-  EXPECT_EQ(machine.l1(), nullptr);
-  Process& p = machine.CreateProcess();
-  const VirtAddr base = p.AllocateRegion(4, PageType::kAnonymous, false, false);
-  p.Read64(base);
-  p.Read64(base + 64);
-  const SimTime hot = p.TimedRead(base + 64);  // best case is an LLC hit now
-  EXPECT_EQ(hot,
-            machine.latency().config().llc_hit + machine.latency().config().tlb_lookup);
-}
-
 // A cache keys lines in 32 bits (CacheConfig::max_frames): one LLC set of 64 B
 // lines keys 2^26 - 1 frames, so a machine with more is rejected before its
 // physical memory is sized.
@@ -190,8 +175,6 @@ TEST(MachineTest, RejectsMoreFramesThanTheCachesCanKey) {
   config.l1_cache = CacheConfig{.line_size = 64, .ways = 8, .sets = 1};
   config.frame_count = FrameId{1} << 26;
   EXPECT_THROW(Machine{config}, std::invalid_argument);
-  config.enable_l1 = false;  // a disabled L1 keys nothing
-  EXPECT_EQ(config.CacheKeyError(), nullptr);
   // The default geometries key every frame below kInvalidFrame.
   config = MachineConfig{};
   config.frame_count = kInvalidFrame;
@@ -205,9 +188,9 @@ TEST(MachineTest, FlushFrameEvictsAllLevels) {
   p.Read64(base);
   const FrameId frame = p.TranslateFrame(VaddrToVpn(base));
   const PhysAddr paddr = static_cast<PhysAddr>(frame) * kPageSize;
-  ASSERT_TRUE(machine.l1()->Contains(paddr));
+  ASSERT_TRUE(machine.l1().Contains(paddr));
   machine.FlushFrame(frame);
-  EXPECT_FALSE(machine.l1()->Contains(paddr));
+  EXPECT_FALSE(machine.l1().Contains(paddr));
   EXPECT_FALSE(machine.llc().Contains(paddr));
 }
 

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "src/fusion/engine_factory.h"
+#include "src/fusion/ksm.h"
+#include "src/fusion/vusion_engine.h"
 #include "src/host/thread_pool.h"
 #include "src/kernel/process.h"
 #include "src/sim/latency_model.h"
@@ -27,14 +29,18 @@ MachineConfig MakeMachineConfig() {
   return config;
 }
 
-// A small but non-trivial image: KSM engine, three processes with duplicate
-// pages, enough idle that merges, RNG draws, and stats are all non-zero.
-std::string MakeImage() {
+// A small but non-trivial image: KSM engine (unless `kind` names another),
+// three processes with duplicate pages, enough idle that merges, RNG draws,
+// and stats are all non-zero.
+std::string MakeImage(EngineKind kind = EngineKind::kKsm) {
   Machine machine(MakeMachineConfig());
   FusionConfig fusion;
   fusion.wake_period = 1 * kMillisecond;
   fusion.pages_per_wake = 128;
-  std::unique_ptr<FusionEngine> engine = MakeEngineExact(EngineKind::kKsm, machine, fusion);
+  if (kind == EngineKind::kVUsion) {
+    fusion.pool_frames = 1024;  // the default pool outsizes this machine
+  }
+  std::unique_ptr<FusionEngine> engine = MakeEngineExact(kind, machine, fusion);
   engine->Install();
   for (int p = 0; p < 3; ++p) {
     Process& proc = machine.CreateProcess();
@@ -45,7 +51,7 @@ std::string MakeImage() {
     proc.Write64(base + 128, 0xDEADBEEF + p);
   }
   machine.Idle(30 * kMillisecond);
-  const std::string image = snapshot::SaveSnapshot(machine, engine.get(), EngineKind::kKsm);
+  const std::string image = snapshot::SaveSnapshot(machine, engine.get(), kind);
   engine->Uninstall();
   return image;
 }
@@ -133,18 +139,28 @@ void ExpectRestoreError(const std::string& buffer, const std::string& want_secti
 
 class SnapshotCorruptionTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() { image_ = new std::string(MakeImage()); }
+  static void SetUpTestSuite() {
+    image_ = new std::string(MakeImage());
+    vusion_image_ = new std::string(MakeImage(EngineKind::kVUsion));
+  }
   static void TearDownTestSuite() {
     delete image_;
     image_ = nullptr;
+    delete vusion_image_;
+    vusion_image_ = nullptr;
   }
   static const std::string& image() { return *image_; }
+  // The same boot under VUsion, whose entropy pool holds frames from the
+  // moment the engine is built.
+  static const std::string& vusion_image() { return *vusion_image_; }
 
  private:
   static std::string* image_;
+  static std::string* vusion_image_;
 };
 
 std::string* SnapshotCorruptionTest::image_ = nullptr;
+std::string* SnapshotCorruptionTest::vusion_image_ = nullptr;
 
 TEST_F(SnapshotCorruptionTest, IntactImageRestores) {
   const snapshot::SnapshotInfo info = snapshot::VerifySnapshot(image());
@@ -199,7 +215,7 @@ TEST_F(SnapshotCorruptionTest, PayloadBitFlipsNameTheDamagedSection) {
 }
 
 // Any version but kVersion fails closed, naming the version it carries: a
-// future one, or the previous format (v5), for which there is no reader.
+// future one, or the previous format (v6), for which there is no reader.
 TEST_F(SnapshotCorruptionTest, FutureVersionRejected) {
   for (const std::uint32_t version : {snapshot::kVersion + 1, snapshot::kVersion - 1}) {
     std::string buffer = image();
@@ -310,21 +326,54 @@ TEST_F(SnapshotCorruptionTest, DamagedNoiseBatchBehindValidChecksumRejected) {
                      "latency", "noise cursor past the batch");
 }
 
+// Also run on the VUsion image: the cache section is restored after the
+// buddy allocator, and tearing down that failed restore once freed the
+// engine's construction-time pool frames into the restored allocator (an
+// assertion failure in debug builds).
 TEST_F(SnapshotCorruptionTest, LlcTagPastPhysicalMemoryBehindValidChecksumRejected) {
-  const auto cache = FindSection(image(), "cache");
-  // Bool committed, U64 line count, then (U64 index, U64 tag, U64 stamp) per
-  // line; the LLC comes first.
-  ASSERT_EQ(ReadLe(image(), cache.offset, 1), 1u);
-  ASSERT_GT(ReadLe(image(), cache.offset + 1, 8), 0u);
-  constexpr std::size_t kTagDelta = 1 + 8 + 8;
-  const std::uint64_t tag = ReadLe(image(), cache.offset + kTagDelta, 8);
-  // Both stay in the tag's set (a multiple of the 8192 sets apart); the first
-  // names a frame 2^13 past its own, at or past the machine's 2^13 frames, and
-  // the second once resized the per-frame counters to 2^56 entries.
-  const std::uint64_t lines_of_memory = std::uint64_t{MakeMachineConfig().frame_count} * 64;
-  for (const std::uint64_t bad : {tag + lines_of_memory, tag + (std::uint64_t{1} << 62)}) {
-    ExpectRestoreError(PatchSealedLe(image(), cache, kTagDelta, bad, 8), "cache",
-                       "LLC tag " + std::to_string(bad));
+  for (const std::string* buffer : {&image(), &vusion_image()}) {
+    const auto cache = FindSection(*buffer, "cache");
+    // Bool committed, U64 line count, then (U64 index, U64 tag, U64 stamp)
+    // per line; the LLC comes first.
+    ASSERT_EQ(ReadLe(*buffer, cache.offset, 1), 1u);
+    ASSERT_GT(ReadLe(*buffer, cache.offset + 1, 8), 0u);
+    constexpr std::size_t kTagDelta = 1 + 8 + 8;
+    const std::uint64_t tag = ReadLe(*buffer, cache.offset + kTagDelta, 8);
+    // Both stay in the tag's set (a multiple of the 8192 sets apart); the
+    // first names a frame 2^13 past its own, at or past the machine's 2^13
+    // frames, and the second once resized the per-frame counters to 2^56
+    // entries.
+    const std::uint64_t lines_of_memory =
+        std::uint64_t{MakeMachineConfig().frame_count} * 64;
+    for (const std::uint64_t bad : {tag + lines_of_memory, tag + (std::uint64_t{1} << 62)}) {
+      ExpectRestoreError(PatchSealedLe(*buffer, cache, kTagDelta, bad, 8), "cache",
+                         "LLC tag " + std::to_string(bad));
+    }
+  }
+}
+
+// A stable tree's node count must match the nodes its preorder shape flags
+// describe. With the count one too high, KSM and VUsion images once restored
+// and passed the audit.
+TEST_F(SnapshotCorruptionTest, StableTreeCountBehindValidChecksumRejected) {
+  for (const EngineKind kind : {EngineKind::kKsm, EngineKind::kVUsion}) {
+    const std::string name = EngineKindName(kind);
+    const std::string& buffer = kind == EngineKind::kKsm ? image() : vusion_image();
+    std::size_t stable_size = 0;
+    {
+      const snapshot::RestoredMachine restored = snapshot::RestoreSnapshot(buffer);
+      stable_size = kind == EngineKind::kKsm
+                        ? static_cast<const Ksm&>(*restored.engine).stable_size()
+                        : static_cast<const VUsionEngine&>(*restored.engine).stable_size();
+    }
+    ASSERT_GT(stable_size, 0u) << name;
+    const auto engine = FindSection(buffer, "engine");
+    // The count follows the common block (122 bytes with empty allocation and
+    // slot logs) and the scan cursor (three U64s).
+    constexpr std::size_t kCountDelta = 122 + 24;
+    ASSERT_EQ(ReadLe(buffer, engine.offset + kCountDelta, 8), stable_size) << name;
+    ExpectRestoreError(PatchSealedLe(buffer, engine, kCountDelta, stable_size + 1, 8), "engine",
+                       name + " stable count + 1");
   }
 }
 

@@ -2,9 +2,10 @@
 // into a brand-new (Machine, engine) pair, and continuing the workload must be
 // bit-identical — stats, traces, timestamps, RNG streams — to never having
 // stopped. Checked as byte equality of the final snapshots across the engine
-// × scan-thread × scan-quantum cells, plus restore→immediate-resave
-// idempotence, fork-style fan-out divergence-only-through-inputs, and
-// VUsion's image not depending on scan_threads.
+// × scan-thread × scan-quantum cells (and KSM after a shared frame flipped),
+// plus restore→immediate-resave idempotence, fork-style fan-out
+// divergence-only-through-inputs, and VUsion's image not depending on
+// scan_threads.
 
 #include <gtest/gtest.h>
 
@@ -33,8 +34,9 @@ constexpr int kPhaseSteps = 300;
 constexpr std::size_t kChunkOneQuantum = 7;
 
 struct Cell {
-  Cell(EngineKind kind_in, std::size_t threads_in, std::size_t pages_per_wake_in = 256)
-      : kind(kind_in), threads(threads_in), pages_per_wake(pages_per_wake_in) {}
+  Cell(EngineKind kind_in, std::size_t threads_in, std::size_t pages_per_wake_in = 256,
+       bool flip_in = false)
+      : kind(kind_in), threads(threads_in), pages_per_wake(pages_per_wake_in), flip(flip_in) {}
 
   EngineKind kind;
   // gtest prints the parameter byte by byte into the test name, so the gap
@@ -42,10 +44,11 @@ struct Cell {
   std::uint32_t unused = 0;
   std::size_t threads;
   std::size_t pages_per_wake;
-  // Unused. gtest prints the parameter's size into each test name, and this
-  // keeps the cell at the 32 bytes it had while the scan-pipeline shape was a
-  // matrix axis, so the cells keep their test names.
-  std::uint64_t reserved = 0;
+  // Nonzero: a bit of the first shared frame flips after phase 1, so phase 2
+  // runs in KSM's tree-lookup regime (stable lookups descend the tree once a
+  // shared frame has changed). 64 bits wide: gtest prints the parameter's size
+  // into each test name, and this keeps the cell at 32 bytes.
+  std::uint64_t flip = 0;
 };
 static_assert(sizeof(Cell) == 32);
 static_assert(std::has_unique_object_representations_v<Cell>, "Cell must have no padding bytes");
@@ -56,7 +59,8 @@ static_assert(std::has_unique_object_representations_v<Cell>, "Cell must have no
 std::string CellName(const ::testing::TestParamInfo<Cell>& info) {
   return std::string(EngineKindName(info.param.kind)) + "T" +
          std::to_string(info.param.threads) + "DeltaOff" +
-         (info.param.pages_per_wake <= kChunkOneQuantum ? "C1" : "");
+         (info.param.pages_per_wake <= kChunkOneQuantum ? "C1" : "") +
+         (info.param.flip != 0 ? "Flip" : "");
 }
 
 MachineConfig MakeMachineConfig() {
@@ -131,6 +135,19 @@ void RunPhase(Machine& machine, const std::vector<VirtAddr>& bases, std::uint64_
   machine.Idle(20 * kMillisecond);
 }
 
+// Flips one bit of the first frame with more than one reference, as a
+// rowhammer hit on a merged page would.
+void FlipFirstSharedFrame(Machine& machine) {
+  PhysicalMemory& memory = machine.memory();
+  for (FrameId frame = 0; frame < memory.frame_count(); ++frame) {
+    if (memory.refcount(frame) > 1) {
+      memory.FlipBit(frame, 0);
+      return;
+    }
+  }
+  ADD_FAILURE() << "no shared frame to flip";
+}
+
 // On mismatch, names the first differing section instead of dumping megabytes.
 std::string DescribeFirstDiff(const std::string& a, const std::string& b) {
   if (a.size() != b.size()) {
@@ -178,6 +195,9 @@ TEST_P(SnapshotParityTest, SaveRestoreContinueIsBitIdentical) {
     engine->Install();
     bases = SetupProcesses(machine);
     RunPhase(machine, bases, kPhase1Seed);
+    if (cell.flip != 0) {
+      FlipFirstSharedFrame(machine);
+    }
     RunPhase(machine, bases, kPhase2Seed);
     straight = snapshot::SaveSnapshot(machine, engine.get(), cell.kind);
     engine->Uninstall();
@@ -193,6 +213,9 @@ TEST_P(SnapshotParityTest, SaveRestoreContinueIsBitIdentical) {
     const std::vector<VirtAddr> bases_b = SetupProcesses(machine);
     ASSERT_EQ(bases_b, bases) << "boot sequence must be deterministic";
     RunPhase(machine, bases, kPhase1Seed);
+    if (cell.flip != 0) {
+      FlipFirstSharedFrame(machine);
+    }
     midpoint = snapshot::SaveSnapshot(machine, engine.get(), cell.kind);
     engine->Uninstall();
   }
@@ -234,7 +257,9 @@ INSTANTIATE_TEST_SUITE_P(
                       // Streaming at the most interleaved chunk size. (WPF's
                       // batch is a whole pass, whatever the quantum.)
                       Cell{EngineKind::kKsm, 4, kChunkOneQuantum},
-                      Cell{EngineKind::kVUsion, 4, kChunkOneQuantum}),
+                      Cell{EngineKind::kVUsion, 4, kChunkOneQuantum},
+                      // A midpoint image in KSM's tree-lookup regime.
+                      Cell{EngineKind::kKsm, 1, 256, true}),
     CellName);
 
 // Boots the cell, runs phase 1 and returns its image's sections, each as
