@@ -46,7 +46,6 @@ class InvariantAuditor {
   AuditReport Audit(FusionEngine* engine = nullptr);
 
   [[nodiscard]] std::uint64_t audits_run() const { return audits_run_; }
-  [[nodiscard]] std::uint64_t audits_failed() const { return audits_failed_; }
   [[nodiscard]] std::uint64_t checks_total() const { return checks_total_; }
 
   void ExportMetrics(MetricsRegistry& metrics) const;

@@ -1,6 +1,6 @@
 // A chunked bump allocator with size-bucketed free lists, for the small
-// fixed-size nodes the fusion engines churn through every scan pass (rbtree/AVL
-// nodes, stable entries, WPF's combined entries).
+// fixed-size nodes the fusion engines churn through every scan pass (KSM's and
+// VUsion's rbtree nodes and stable entries).
 //
 // Why not the global heap: a steady-state scan pass allocates and frees tens of
 // thousands of ~64-byte nodes in tight loops; malloc's bookkeeping and the cache

@@ -37,26 +37,6 @@ class RbTree {
 
   RbTree(const RbTree&) = delete;
   RbTree& operator=(const RbTree&) = delete;
-  RbTree(RbTree&& other) noexcept
-      : compare_(std::move(other.compare_)),
-        root_(other.root_),
-        size_(other.size_),
-        arena_(other.arena_) {
-    other.root_ = nullptr;
-    other.size_ = 0;
-  }
-  RbTree& operator=(RbTree&& other) noexcept {
-    if (this != &other) {
-      Clear();
-      compare_ = std::move(other.compare_);
-      root_ = other.root_;
-      size_ = other.size_;
-      arena_ = other.arena_;
-      other.root_ = nullptr;
-      other.size_ = 0;
-    }
-    return *this;
-  }
 
   // Routes node allocation through an arena (see src/container/arena.h). Must be
   // called while the tree is empty; the arena must outlive the tree.
@@ -69,16 +49,13 @@ class RbTree {
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   // Inserts a value; duplicates are allowed (they descend right, like the kernel's
-  // tie-breaking by page address is irrelevant here). Returns the new node and the
-  // number of comparisons performed (for the latency model).
-  std::pair<Node*, std::size_t> Insert(T value) {
+  // tie-breaking by page address is irrelevant here). Returns the new node.
+  Node* Insert(T value) {
     Node* node = NewNode(std::move(value));
     Node* parent = nullptr;
     Node* cur = root_;
-    std::size_t steps = 0;
     while (cur != nullptr) {
       parent = cur;
-      ++steps;
       cur = (compare_(node->value, cur->value) < 0) ? cur->left : cur->right;
     }
     node->parent = parent;
@@ -91,24 +68,22 @@ class RbTree {
     }
     InsertFixup(node);
     ++size_;
-    return {node, steps};
+    return node;
   }
 
   // Three-way search with an arbitrary probe: probe(value) < 0 descends left,
-  // > 0 descends right, == 0 is a match. Returns {node or nullptr, comparisons}.
+  // > 0 descends right, == 0 is a match. Returns the node, or nullptr.
   template <typename Probe>
-  std::pair<Node*, std::size_t> Find(Probe&& probe) const {
+  Node* Find(Probe&& probe) const {
     Node* cur = root_;
-    std::size_t steps = 0;
     while (cur != nullptr) {
-      ++steps;
       const int c = probe(cur->value);
       if (c == 0) {
-        return {cur, steps};
+        return cur;
       }
       cur = (c < 0) ? cur->left : cur->right;
     }
-    return {nullptr, steps};
+    return nullptr;
   }
 
   // Removes a node previously returned by Insert/Find. The node is deleted.
@@ -172,8 +147,6 @@ class RbTree {
     return ValidateRecursive(root_, 0, black_height);
   }
 
-  [[nodiscard]] Compare& comparator() { return compare_; }
-
   // Savestates: structural preorder dump/rebuild. The node colours travel with
   // the values, so a restored tree is the *same* tree — not merely an
   // equivalent set — and every future descent path (and thus every
@@ -190,8 +163,8 @@ class RbTree {
   // pointer/index maps into the tree's stored values. Returns false, and stops
   // reading, once the stream's has-left/has-right flags yield a node count
   // other than `count` or nest deeper than 2 * bit_width(count) levels, more
-  // than any red-black (or AVL) tree of `count` nodes has. The nodes read so
-  // far stay linked, so the destructor frees them.
+  // than any red-black tree of `count` nodes has. The nodes read so far stay
+  // linked, so the destructor frees them.
   template <typename Producer, typename OnNode>
   [[nodiscard]] bool ImportPreorder(std::size_t count, Producer&& produce, OnNode&& on_node) {
     assert(root_ == nullptr && size_ == 0);

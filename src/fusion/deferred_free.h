@@ -49,7 +49,7 @@ class DeferredFreeQueue {
     const std::uint64_t n = r.Count(4);
     frames_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-      frames_.push_back(r.U32());
+      frames_.push_back(r.Frame(machine_->memory().frame_count()));
     }
     dummies_ = r.U64();
   }

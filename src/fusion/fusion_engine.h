@@ -87,7 +87,6 @@ class FusionEngine : public Daemon, public SharingPolicy {
   // run=0: the scanner stops; existing merges stay in place and fault normally.
   void Pause() { paused_ = true; }
   void Resume() { paused_ = false; }
-  [[nodiscard]] bool paused() const { return paused_; }
 
   [[nodiscard]] FusionStats& stats() { return stats_; }
   [[nodiscard]] const FusionStats& stats() const { return stats_; }

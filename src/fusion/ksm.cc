@@ -303,7 +303,7 @@ Ksm::StableEntry* Ksm::StableIndexLookup(FrameId frame, std::uint64_t hash) {
 }
 
 Ksm::StableEntry* Ksm::StableTreeLookup(FrameId frame) {
-  auto [node, steps] = stable_.Find(
+  const StableTree::Node* node = stable_.Find(
       [&](StableEntry* const& e) { return content_.HostOrder(frame, e->frame); });
   return node == nullptr ? nullptr : node->value;
 }
@@ -411,8 +411,7 @@ Ksm::StableEntry* Ksm::Stabilize(const UnstableItem& item) {
   }
   auto* entry = arena_.New<StableEntry>(StableEntry{pte->frame, 1, nullptr});
   content_.ChargeTreeDescend(stable_.size());
-  auto [node, steps] = stable_.Insert(entry);
-  entry->node = node;
+  entry->node = stable_.Insert(entry);
   // The frame was hashed during this scan pass, so this re-read is memoized.
   entry->index_hash = machine_->memory().HashContent(entry->frame);
   StableIndexInsert(entry);
@@ -791,7 +790,7 @@ void Ksm::RestoreState(snapshot::SnapshotReader& r) {
       static_cast<std::size_t>(node_count),
       [&](bool& red, bool& has_left, bool& has_right) -> StableEntry* {
         auto* e = arena_.New<StableEntry>(StableEntry{});
-        e->frame = r.U32();
+        e->frame = r.Frame(machine_->memory().frame_count());
         e->refs = r.U32();
         e->index_hash = r.U64();
         red = r.Bool();
@@ -823,7 +822,7 @@ void Ksm::RestoreState(snapshot::SnapshotReader& r) {
   const std::uint64_t unstable_count = r.Count(24);
   for (std::uint64_t i = 0; i < unstable_count; ++i) {
     UnstableItem item;
-    item.frame = r.U32();
+    item.frame = r.Frame(machine_->memory().frame_count());
     item.process = KsmLiveProcess(*machine_, r.U32());
     item.vpn = r.U64();
     item.sort_hash = r.U64();

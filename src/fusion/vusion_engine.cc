@@ -184,7 +184,7 @@ void VUsionEngine::Act(Process& process, Vpn vpn, Pte* pte) {
   // Charged descent cost depends only on the tree's size, never its shape or
   // the host-side order it is sorted by.
   content_.ChargeTreeDescend(stable_.size());
-  auto [node, steps] =
+  const Tree::Node* node =
       stable_.Find([&](StableEntry* const& e) { return content_.HostOrder(old, e->frame); });
 
   // Injected merge abort, taking exactly the existing OOM bail-out: the page
@@ -235,8 +235,7 @@ void VUsionEngine::Act(Process& process, Vpn vpn, Pte* pte) {
     deferred_.PushDummy();
     entry = arena_.New<StableEntry>(StableEntry{backing, {}, round_, nullptr});
     content_.ChargeTreeDescend(stable_.size());
-    auto [inserted, insert_steps] = stable_.Insert(entry);
-    entry->node = inserted;
+    entry->node = stable_.Insert(entry);
     ++stats_.fake_merges;
     machine_->trace().Emit(machine_->clock().now(), TraceEventType::kFakeMerge,
                            process.id(), vpn, backing);
@@ -683,19 +682,23 @@ void VUsionEngine::RestoreState(snapshot::SnapshotReader& r) {
   const bool imported = stable_.ImportPreorder(
       static_cast<std::size_t>(node_count),
       [&](bool& red, bool& has_left, bool& has_right) -> StableEntry* {
-        auto* e = arena_.New<StableEntry>(StableEntry{});
-        e->frame = r.U32();
-        e->relocated_round = r.U64();
+        // Every field is read before the entry is allocated: an entry left
+        // outside the tree by a throw would leak its sharer vector.
+        const FrameId frame = r.Frame(machine_->memory().frame_count());
+        const std::uint64_t relocated_round = r.U64();
         const std::uint32_t sharer_count = r.U32();
-        e->sharers.reserve(std::min<std::uint32_t>(sharer_count, 4096));
+        std::vector<Sharer> sharers;
+        sharers.reserve(std::min<std::uint32_t>(sharer_count, 4096));
         for (std::uint32_t i = 0; i < sharer_count; ++i) {
           const std::uint32_t pid = r.U32();
           const Vpn vpn = r.U64();
-          e->sharers.push_back(Sharer{VuLiveProcess(*machine_, pid), vpn});
+          sharers.push_back(Sharer{VuLiveProcess(*machine_, pid), vpn});
         }
         red = r.Bool();
         has_left = r.Bool();
         has_right = r.Bool();
+        auto* e = arena_.New<StableEntry>(
+            StableEntry{frame, std::move(sharers), relocated_round, nullptr});
         entries.push_back(e);
         return e;
       },
@@ -704,7 +707,7 @@ void VUsionEngine::RestoreState(snapshot::SnapshotReader& r) {
     throw snapshot::RestoreError("engine", "stable tree preorder is not a valid tree");
   }
 
-  pool_.RestoreState(r);
+  pool_.RestoreState(r, machine_->memory().frame_count());
   deferred_.RestoreState(r);
 
   pages_.clear();

@@ -8,33 +8,18 @@
 
 namespace vusion {
 
-int Wpf::CombinedCompare::operator()(Combined* const& a, Combined* const& b) const {
-  // Immutable (insert-time hash, frame) key: total order, no content reads.
-  if (a->sort_hash != b->sort_hash) {
-    return a->sort_hash < b->sort_hash ? -1 : 1;
-  }
-  if (a->frame != b->frame) {
-    return a->frame < b->frame ? -1 : 1;
-  }
-  return 0;
-}
-
 Wpf::Wpf(Machine& machine, const FusionConfig& config)
     : FusionEngine(machine, config),
       content_(machine),
       pipeline_(machine.memory()),
-      linear_(machine.buddy(), machine.memory()) {
-  trees_.reserve(kShards);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    trees_.push_back(std::make_unique<Tree>());
-    trees_.back()->SetNodeArena(&arena_);
-  }
-}
+      linear_(machine.buddy(), machine.memory()) {}
 
-Wpf::~Wpf() {
-  for (const auto& tree : trees_) {
-    tree->InOrder([this](Combined* const& e) { arena_.Delete(e); });
+std::size_t Wpf::combined_pages() const {
+  std::size_t count = 0;
+  for (const Shard& shard : shards_) {
+    count += shard.size();
   }
+  return count;
 }
 
 void Wpf::Run() {
@@ -107,17 +92,20 @@ void Wpf::DoFusionPass() {
   std::vector<Candidate> remaining;
   remaining.reserve(candidates.size());
   for (const Candidate& c : candidates) {
-    Tree& tree = *trees_[c.hash % kShards];
-    content_.ChargeTreeDescend(tree.size());
-    auto [entry, steps] = tree.Find([&](Combined* const& e) {
-      if (c.hash != e->sort_hash) {
-        return c.hash < e->sort_hash ? -1 : 1;
+    Shard& shard = shards_[c.hash % kShards];
+    content_.ChargeTreeDescend(shard.size());
+    // Equal fingerprint: verify by bytes. Among hash-colliding entries the
+    // smallest frame whose content matches wins.
+    Combined* entry = nullptr;
+    for (auto it = shard.lower_bound({c.hash, 0}); it != shard.end() && it->first.first == c.hash;
+         ++it) {
+      if (machine_->memory().Compare(c.frame, it->second.frame) == 0) {
+        entry = &it->second;
+        break;
       }
-      // Equal fingerprint: verify by bytes (collisions partition further down).
-      return machine_->memory().Compare(c.frame, e->frame);
-    });
+    }
     if (entry != nullptr) {
-      MergeIntoCombined(c, *entry);
+      MergeIntoCombined(c, entry);
     } else {
       remaining.push_back(c);
     }
@@ -191,13 +179,14 @@ void Wpf::DoFusionPass() {
   const std::vector<FrameId> fresh = linear_.AllocateRunWithSteal(groups.size(), try_steal);
   for (std::size_t g = 0; g < groups.size() && g < fresh.size(); ++g) {
     const FrameId combined_frame = fresh[g];
+    const std::uint64_t hash = groups[g][0]->hash;
     lm.Charge(lm.config().page_copy_4k);
     machine_->memory().CopyFrame(combined_frame, groups[g][0]->frame);
-    auto* entry = arena_.New<Combined>(Combined{combined_frame, 0, groups[g][0]->hash % kShards,
-                                                groups[g][0]->hash});
-    content_.ChargeTreeDescend(trees_[entry->shard]->size());
-    trees_[entry->shard]->Insert(entry);
-    ++rmap_bucket_count_;
+    Shard& shard = shards_[hash % kShards];
+    content_.ChargeTreeDescend(shard.size());
+    Combined* entry =
+        &shard.emplace(std::pair{hash, combined_frame}, Combined{combined_frame, 0, hash})
+             .first->second;
     pass_allocations_.back().push_back(combined_frame);
     for (const Candidate* member : groups[g]) {
       MergeIntoCombined(*member, entry);
@@ -206,18 +195,11 @@ void Wpf::DoFusionPass() {
       // Every member's merge aborted (pages changed under us / injected
       // aborts): an unreferenced Combined entry would leak its frame forever.
       // Undo the insertion entirely.
-      content_.ChargeTreeDescend(trees_[entry->shard]->size());
-      trees_[entry->shard]->RemoveIf(
-          [&](Combined* const& e) { return CombinedCompare{}(entry, e); });
-      --rmap_bucket_count_;
-      machine_->FlushFrame(entry->frame);
-      lm.Charge(lm.config().buddy_free);
-      machine_->buddy().Free(entry->frame);
+      EraseCombined(*entry);
       pass_allocations_.back().pop_back();
       if (injector != nullptr) {
         injector->RecordDegradation();
       }
-      arena_.Delete(entry);
     }
   }
   ++stats_.full_scans;
@@ -326,23 +308,24 @@ void Wpf::DropRef(Combined* entry) {
   }
   --entry->refs;
   if (entry->refs == 0) {
-    // Remove by navigation with the tree's own comparator: the immutable
-    // (sort_hash, frame) key finds the entry even if its content was mutated.
-    Tree& tree = *trees_[entry->shard];
-    content_.ChargeTreeDescend(tree.size());
-    const bool removed =
-        tree.RemoveIf([&](Combined* const& e) { return CombinedCompare{}(entry, e); });
-    (void)removed;
-    --rmap_bucket_count_;
-    machine_->FlushFrame(entry->frame);
-    LatencyModel& lm = machine_->latency();
-    lm.Charge(lm.config().buddy_free);
     // Freed near the end of memory; the next pass's linear scan re-claims it.
-    machine_->buddy().Free(entry->frame);
-    arena_.Delete(entry);
+    EraseCombined(*entry);
   } else {
     machine_->memory().SetRefcount(entry->frame, entry->refs);
   }
+}
+
+void Wpf::EraseCombined(const Combined& entry) {
+  // The immutable (sort_hash, frame) key finds the entry even if its content
+  // was mutated.
+  const FrameId frame = entry.frame;
+  Shard& shard = shards_[entry.sort_hash % kShards];
+  content_.ChargeTreeDescend(shard.size());
+  shard.erase({entry.sort_hash, frame});
+  machine_->FlushFrame(frame);
+  LatencyModel& lm = machine_->latency();
+  lm.Charge(lm.config().buddy_free);
+  machine_->buddy().Free(frame);
 }
 
 bool Wpf::HandleFault(Process& process, const PageFault& fault) {
@@ -399,15 +382,6 @@ bool Wpf::IsMerged(const Process& process, Vpn vpn) const {
   return rmap_.contains(KeyOf(process, vpn));
 }
 
-bool Wpf::ValidateTrees() const {
-  for (const auto& tree : trees_) {
-    if (!tree->ValidateInvariants()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void Wpf::AuditInvariants(AuditContext& ctx) const {
   const auto& processes = machine_->processes();
   PhysicalMemory& memory = machine_->memory();
@@ -435,42 +409,36 @@ void Wpf::AuditInvariants(AuditContext& ctx) const {
     });
   }
 
-  std::size_t tree_entries = 0;
-  for (const auto& tree : trees_) {
-    tree->InOrder([&](Combined* const& entry) {
-      ++tree_entries;
-      const std::string frame_str = std::to_string(entry->frame);
-      ctx.Check(entry->refs >= 1, [&] {
+  for (const Shard& shard : shards_) {
+    for (const auto& [key, entry] : shard) {
+      const std::string frame_str = std::to_string(entry.frame);
+      ctx.Check(entry.refs >= 1, [&] {
         return "wpf: combined entry for frame " + frame_str + " has zero refs";
       });
-      ctx.Check(memory.allocated(entry->frame), [&] {
+      ctx.Check(memory.allocated(entry.frame), [&] {
         return "wpf: combined entry points at free frame " + frame_str;
       });
-      ctx.Check(memory.refcount(entry->frame) == entry->refs, [&] {
+      ctx.Check(memory.refcount(entry.frame) == entry.refs, [&] {
         return "wpf: frame " + frame_str + " refcount " +
-               std::to_string(memory.refcount(entry->frame)) +
-               " != entry refs " + std::to_string(entry->refs);
+               std::to_string(memory.refcount(entry.frame)) +
+               " != entry refs " + std::to_string(entry.refs);
       });
-      ctx.Check(ctx.mapped(entry->frame) == entry->refs, [&] {
+      ctx.Check(ctx.mapped(entry.frame) == entry.refs, [&] {
         return "wpf: frame " + frame_str + " mapped by " +
-               std::to_string(ctx.mapped(entry->frame)) + " PTEs, entry refs " +
-               std::to_string(entry->refs);
+               std::to_string(ctx.mapped(entry.frame)) + " PTEs, entry refs " +
+               std::to_string(entry.refs);
       });
-      ctx.Check(ctx.writable(entry->frame) == 0, [&] {
+      ctx.Check(ctx.writable(entry.frame) == 0, [&] {
         return "wpf: fused frame " + frame_str + " has a writable mapping";
       });
-      const auto it = rmap_refs.find(entry);
-      ctx.Check(it != rmap_refs.end() && it->second == entry->refs, [&] {
+      const auto it = rmap_refs.find(&entry);
+      ctx.Check(it != rmap_refs.end() && it->second == entry.refs, [&] {
         return "wpf: frame " + frame_str + " rmap count " +
                std::to_string(it == rmap_refs.end() ? 0 : it->second) +
-               " != entry refs " + std::to_string(entry->refs);
+               " != entry refs " + std::to_string(entry.refs);
       });
-    });
+    }
   }
-  ctx.Check(tree_entries == rmap_bucket_count_, [&] {
-    return "wpf: trees hold " + std::to_string(tree_entries) +
-           " entries but bucket count is " + std::to_string(rmap_bucket_count_);
-  });
 }
 
 // --- Savestates (DESIGN.md §13) ---
@@ -479,21 +447,17 @@ void Wpf::SaveState(snapshot::SnapshotWriter& w) const {
   SaveCommon(w);
   w.U32(linear_.scan_cursor());
 
-  // Shard trees, structurally (preorder with heights): Combined entries are
-  // indexed in export order so the rmap can reference them.
+  // Combined entries in key order, shard by shard; the rmap references them
+  // by their index in this list.
   std::unordered_map<const Combined*, std::uint32_t> index_of;
-  for (const auto& tree : trees_) {
-    w.U64(tree->size());
-    tree->ExportPreorder([&](Combined* const& e, std::int32_t height, bool has_left,
-                             bool has_right) {
-      index_of.emplace(e, static_cast<std::uint32_t>(index_of.size()));
-      w.U32(e->frame);
-      w.U32(e->refs);
-      w.U64(e->sort_hash);
-      w.U32(static_cast<std::uint32_t>(height));
-      w.Bool(has_left);
-      w.Bool(has_right);
-    });
+  w.U64(combined_pages());
+  for (const Shard& shard : shards_) {
+    for (const auto& [key, entry] : shard) {
+      index_of.emplace(&entry, static_cast<std::uint32_t>(index_of.size()));
+      w.U32(entry.frame);
+      w.U32(entry.refs);
+      w.U64(entry.sort_hash);
+    }
   }
 
   std::vector<std::uint64_t> keys;
@@ -517,7 +481,6 @@ void Wpf::SaveState(snapshot::SnapshotWriter& w) const {
   }
 
   w.U64(frames_saved_);
-  w.U64(rmap_bucket_count_);
 }
 
 void Wpf::RestoreState(snapshot::SnapshotReader& r) {
@@ -527,30 +490,20 @@ void Wpf::RestoreState(snapshot::SnapshotReader& r) {
   linear_.set_fault_injector(chaos());
   linear_.set_scan_cursor(r.U32());
 
+  const std::uint64_t entry_count = r.Count(16);
   std::vector<Combined*> entries;
-  for (std::size_t shard = 0; shard < kShards; ++shard) {
-    const std::uint64_t node_count = r.Count(19);
-    const bool imported = trees_[shard]->ImportPreorder(
-        static_cast<std::size_t>(node_count),
-        [&](std::int32_t& height, bool& has_left, bool& has_right) -> Combined* {
-          auto* e = arena_.New<Combined>(Combined{});
-          e->frame = r.U32();
-          e->refs = r.U32();
-          e->shard = shard;
-          e->sort_hash = r.U64();
-          height = static_cast<std::int32_t>(r.U32());
-          has_left = r.Bool();
-          has_right = r.Bool();
-          entries.push_back(e);
-          return e;
-        },
-        [](Tree::Node*) {});
-    if (!imported) {
-      throw snapshot::RestoreError("engine", "malformed shard tree preorder");
+  entries.reserve(static_cast<std::size_t>(entry_count));
+  for (std::uint64_t i = 0; i < entry_count; ++i) {
+    Combined entry;
+    entry.frame = r.Frame(machine_->memory().frame_count());
+    entry.refs = r.U32();
+    entry.sort_hash = r.U64();
+    const auto [it, inserted] = shards_[entry.sort_hash % kShards].emplace(
+        std::pair{entry.sort_hash, entry.frame}, entry);
+    if (!inserted) {
+      throw snapshot::RestoreError("engine", "duplicate combined entry");
     }
-  }
-  if (!ValidateTrees()) {
-    throw snapshot::RestoreError("engine", "restored WPF trees fail validation");
+    entries.push_back(&it->second);
   }
 
   rmap_.clear();
@@ -581,7 +534,6 @@ void Wpf::RestoreState(snapshot::SnapshotReader& r) {
   }
 
   frames_saved_ = r.U64();
-  rmap_bucket_count_ = static_cast<std::size_t>(r.U64());
 }
 
 }  // namespace vusion

@@ -4,6 +4,10 @@
 //  - fused pages live in AVL trees and are backed by *new* frames from a linear
 //    end-of-memory allocator (MiAllocatePagesForMdl model).
 //
+// The model keeps the fused pages in ordered maps instead and charges every
+// lookup, insert and removal as one descent of a tree of the shard's size
+// (DESIGN.md §6): the charge depends on the size alone, never on a shape.
+//
 // Allocating new frames defeats classic Flip Feng Shui, but the allocator's
 // restart-from-the-top scan makes frame reuse across passes nearly perfect - the
 // property the paper's new reuse-based Flip Feng Shui attack (§5.2) exploits, and
@@ -12,12 +16,12 @@
 #ifndef VUSION_SRC_FUSION_WPF_H_
 #define VUSION_SRC_FUSION_WPF_H_
 
-#include <memory>
+#include <array>
+#include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "src/container/arena.h"
-#include "src/container/avl_tree.h"
 #include "src/fusion/content.h"
 #include "src/fusion/fusion_engine.h"
 #include "src/phys/linear_allocator.h"
@@ -27,7 +31,6 @@ namespace vusion {
 class Wpf final : public FusionEngine {
  public:
   Wpf(Machine& machine, const FusionConfig& config);
-  ~Wpf() override;
 
   [[nodiscard]] const char* name() const override { return "WPF"; }
   [[nodiscard]] std::uint64_t frames_saved() const override { return frames_saved_; }
@@ -49,11 +52,10 @@ class Wpf final : public FusionEngine {
   [[nodiscard]] const std::vector<std::vector<FrameId>>& pass_allocations() const {
     return pass_allocations_;
   }
-  [[nodiscard]] std::size_t combined_pages() const { return rmap_bucket_count_; }
+  [[nodiscard]] std::size_t combined_pages() const;
   [[nodiscard]] bool IsMerged(const Process& process, Vpn vpn) const;
-  [[nodiscard]] bool ValidateTrees() const;
 
-  // Machine-wide consistency check: shard trees, rmap, and the kernel's
+  // Machine-wide consistency check: shard maps, rmap, and the kernel's
   // refcounts/PTEs must all agree. See src/chaos/invariant_auditor.h.
   void AuditInvariants(AuditContext& ctx) const override;
 
@@ -71,16 +73,14 @@ class Wpf final : public FusionEngine {
   struct Combined {
     FrameId frame = kInvalidFrame;
     std::uint32_t refs = 0;
-    std::size_t shard = 0;
-    // Content hash captured at insertion. The trees sort by (sort_hash, frame)
-    // — both immutable — so removal navigation stays correct even if the
-    // frame's content is later mutated (e.g. by a Rowhammer flip).
+    // Content hash captured at insertion. An entry's key is (sort_hash, frame)
+    // — both immutable — so removal finds it even if the frame's content is
+    // later mutated (e.g. by a Rowhammer flip).
     std::uint64_t sort_hash = 0;
   };
-  struct CombinedCompare {
-    int operator()(Combined* const& a, Combined* const& b) const;
-  };
-  using Tree = AvlTree<Combined*, CombinedCompare>;
+  // An entry lives in shard sort_hash % kShards. Map nodes never move, so the
+  // rmap points at the entries directly.
+  using Shard = std::map<std::pair<std::uint64_t, FrameId>, Combined>;
 
   struct Candidate {
     std::uint64_t hash = 0;
@@ -107,19 +107,18 @@ class Wpf final : public FusionEngine {
   void HashCandidates(std::vector<Candidate>& candidates);
   void MergeIntoCombined(const Candidate& candidate, Combined* entry);
   void DropRef(Combined* entry);
+  // Charges the removal descent and erases an entry from its shard, freeing
+  // its frame.
+  void EraseCombined(const Combined& entry);
 
   ChargedContent content_;
   host::ParallelScanPipeline pipeline_;
   host::ScanTiming timing_;
   LinearAllocator linear_;
-  // Node and Combined-entry storage for the shard trees; declared before them so
-  // it outlives their destructors (members are destroyed in reverse order).
-  Arena arena_;
-  std::vector<std::unique_ptr<Tree>> trees_;
+  std::array<Shard, kShards> shards_;
   std::unordered_map<std::uint64_t, Combined*> rmap_;
   std::vector<std::vector<FrameId>> pass_allocations_;
   std::uint64_t frames_saved_ = 0;
-  std::size_t rmap_bucket_count_ = 0;  // live Combined entries
 };
 
 }  // namespace vusion

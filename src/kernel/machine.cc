@@ -419,6 +419,14 @@ void Machine::Save(snapshot::SnapshotWriter& w) {
   w.EndSection();
 }
 
+void Machine::ForgetPageTableFrames() {
+  for (const auto& process : processes_) {
+    if (process != nullptr) {
+      process->address_space().page_table().Abandon();
+    }
+  }
+}
+
 void Machine::Restore(snapshot::SnapshotReader& r) {
   using snapshot::ReadKhugepagedConfig;
   using snapshot::ReadLatencyConfig;

@@ -205,6 +205,10 @@ class Machine {
   // no silent partial state behind.
   void Save(snapshot::SnapshotWriter& w);
   void Restore(snapshot::SnapshotReader& r);
+  // Drops every process's page-table nodes without freeing their frames. A
+  // failed restore calls it before discarding the Machine, whose allocator
+  // may hold a half-restored state that frees would corrupt.
+  void ForgetPageTableFrames();
 
  private:
   friend class Process;

@@ -267,20 +267,24 @@ void PageTable::SaveState(snapshot::SnapshotWriter& w) const {
   save(*root_);
 }
 
-void PageTable::RestoreState(snapshot::SnapshotReader& r) {
-  const std::uint64_t expected_nodes = r.U64();
+void PageTable::Abandon() {
   memo_region_ = ~Vpn{0};
   memo_pmd_ = nullptr;
   memo_leaf_ = nullptr;
+  root_.reset();
+  node_count_ = 0;
+}
+
+void PageTable::RestoreState(snapshot::SnapshotReader& r) {
+  const std::uint64_t expected_nodes = r.U64();
   // Discard the old tree without FreeNode: the buddy allocator is restored
   // wholesale by the Machine, so returning the old nodes' frames would
   // double-free them; the new tree reuses the *recorded* frames.
-  root_.reset();
-  node_count_ = 0;
+  Abandon();
   std::function<std::unique_ptr<Node>(int)> load = [&](int level) -> std::unique_ptr<Node> {
     auto node = std::make_unique<Node>();
     node->level = level;
-    node->frame = r.U32();
+    node->frame = r.Frame(memory_->frame_count());
     if (level > 0) {
       node->children.resize(kPtFanout);
     }

@@ -43,6 +43,8 @@ class PageTable {
   // resolve memo is host-only and dropped.
   void SaveState(snapshot::SnapshotWriter& w) const;
   void RestoreState(snapshot::SnapshotReader& r);
+  // Drops every node without returning its frame to the allocator.
+  void Abandon();
 
   PageTable(const PageTable&) = delete;
   PageTable& operator=(const PageTable&) = delete;

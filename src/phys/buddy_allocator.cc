@@ -211,7 +211,7 @@ void BuddyAllocator::RestoreState(snapshot::SnapshotReader& r) {
     const std::uint64_t n = r.Count(4);
     list.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-      list.push_back(r.U32());
+      list.push_back(r.Frame(memory_->frame_count()));
     }
   }
   const std::uint64_t frames = r.U64();

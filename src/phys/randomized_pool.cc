@@ -95,12 +95,12 @@ void RandomizedPool::SaveState(snapshot::SnapshotWriter& w) const {
   w.U64(insert_count_);
 }
 
-void RandomizedPool::RestoreState(snapshot::SnapshotReader& r) {
+void RandomizedPool::RestoreState(snapshot::SnapshotReader& r, std::size_t frame_count) {
   slots_.clear();
   const std::uint64_t n = r.Count(4);
   slots_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    slots_.push_back(r.U32());
+    slots_.push_back(r.Frame(frame_count));
   }
   Rng::State rng;
   for (std::uint64_t& word : rng.s) {

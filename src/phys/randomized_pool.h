@@ -33,9 +33,10 @@ class RandomizedPool final : public FrameAllocator {
   // draw RNG stream, and the lifetime counters. The restore path empties the
   // pool (Abandon) before the Machine restore rebuilds the buddy allocator
   // wholesale, so the frames the constructor reserved neither leak nor get
-  // freed twice; RestoreState then loads the saved slots.
+  // freed twice; RestoreState then loads the saved slots, each a frame id below
+  // `frame_count`.
   void SaveState(snapshot::SnapshotWriter& w) const;
-  void RestoreState(snapshot::SnapshotReader& r);
+  void RestoreState(snapshot::SnapshotReader& r, std::size_t frame_count);
   // Forgets the reserved frames without returning them to the backing
   // allocator, whose state a restore is about to replace.
   void Abandon() { slots_.clear(); }

@@ -67,7 +67,6 @@ class Json {
   Json& Push(Json value);
 
   [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
   [[nodiscard]] std::size_t size() const { return items_.size(); }
   // Object lookup; nullptr when absent or not an object.
   [[nodiscard]] const Json* Find(const std::string& key) const;

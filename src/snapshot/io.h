@@ -51,7 +51,11 @@ inline constexpr std::uint64_t kMagic = 0x53535653'4e4f4953ull;  // "SIONVSSS"
 //       counters; the unstable items are written chain by chain, and restore
 //       rebuilds the host indexes. MachineConfig lost enable_l1 (the config
 //       record its byte, the cache section its L1 presence flag).
-inline constexpr std::uint32_t kVersion = 7;
+//   v8: WPF's engine section keeps its combined entries as one list (count,
+//       then frame, refs and insert-time hash per entry, in key order shard by
+//       shard). It lost the per-shard node counts, the AVL heights and child
+//       flags, and the trailing entry count.
+inline constexpr std::uint32_t kVersion = 8;
 inline constexpr std::size_t kHeaderBytes = 20;  // magic + version + count + crc
 
 // Structured restore failure: carries the name of the section (or "header")
@@ -229,6 +233,16 @@ class SnapshotReader {
     std::string s(data_.substr(cursor_, size));
     cursor_ += size;
     return s;
+  }
+
+  // Decodes a frame id and rejects one at or past `frame_count`, so a damaged
+  // image cannot index physical memory out of bounds.
+  std::uint32_t Frame(std::size_t frame_count) {
+    const std::uint32_t frame = U32();
+    if (frame >= frame_count) {
+      throw RestoreError(current_, "frame id " + std::to_string(frame) + " out of range");
+    }
+    return frame;
   }
 
   // Decodes a count that will drive a container reserve/loop; bounds it by the

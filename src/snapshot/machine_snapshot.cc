@@ -89,24 +89,34 @@ RestoredMachine RestoreSnapshot(std::string_view buffer) {
     out.engine->Install();
     out.engine->ForgetReservedFrames();
   }
-  out.machine->Restore(r);
-  if (out.engine != nullptr) {
-    r.OpenSection("engine");
-    out.engine->RestoreState(r);
-    r.EndSection();
-  }
-
-  // Gate the hand-back behind the machine-wide oracle: a snapshot whose
-  // sections all decode can still describe an inconsistent machine (hand-
-  // crafted or a serializer bug); that must fail closed too.
-  AuditReport report = InvariantAuditor(*out.machine).Audit(out.engine.get());
-  if (!report.ok) {
-    std::string detail = "restored state fails invariant audit";
-    if (!report.violations.empty()) {
-      detail += " (" + std::to_string(report.violations.size()) +
-                " violations, first: " + report.violations.front() + ")";
+  try {
+    out.machine->Restore(r);
+    if (out.engine != nullptr) {
+      r.OpenSection("engine");
+      out.engine->RestoreState(r);
+      r.EndSection();
     }
-    throw RestoreError("audit", detail);
+
+    // Gate the hand-back behind the machine-wide oracle: a snapshot whose
+    // sections all decode can still describe an inconsistent machine (hand-
+    // crafted or a serializer bug); that must fail closed too.
+    AuditReport report = InvariantAuditor(*out.machine).Audit(out.engine.get());
+    if (!report.ok) {
+      std::string detail = "restored state fails invariant audit";
+      if (!report.violations.empty()) {
+        detail += " (" + std::to_string(report.violations.size()) +
+                  " violations, first: " + report.violations.front() + ")";
+      }
+      throw RestoreError("audit", detail);
+    }
+  } catch (...) {
+    // The half-restored pair is discarded as a whole. Its allocator state may
+    // be inconsistent, so tearing it down must free nothing into it.
+    if (out.engine != nullptr) {
+      out.engine->ForgetReservedFrames();
+    }
+    out.machine->ForgetPageTableFrames();
+    throw;
   }
   return out;
 }

@@ -24,12 +24,10 @@ TEST(RbTreeTest, InsertAndFind) {
   tree.Insert(3);
   tree.Insert(8);
   EXPECT_EQ(tree.size(), 3u);
-  auto [node, steps] = tree.Find([](const int& v) { return ProbeFor(3, v); });
+  const IntTree::Node* node = tree.Find([](const int& v) { return ProbeFor(3, v); });
   ASSERT_NE(node, nullptr);
   EXPECT_EQ(node->value, 3);
-  EXPECT_GE(steps, 1u);
-  auto [missing, missing_steps] = tree.Find([](const int& v) { return ProbeFor(42, v); });
-  EXPECT_EQ(missing, nullptr);
+  EXPECT_EQ(tree.Find([](const int& v) { return ProbeFor(42, v); }), nullptr);
 }
 
 TEST(RbTreeTest, InOrderIsSorted) {
@@ -46,12 +44,10 @@ TEST(RbTreeTest, InOrderIsSorted) {
 
 TEST(RbTreeTest, RemoveLeafRootAndInner) {
   IntTree tree;
-  auto [n5, s5] = tree.Insert(5);
-  auto [n3, s3] = tree.Insert(3);
-  auto [n8, s8] = tree.Insert(8);
-  auto [n7, s7] = tree.Insert(7);
-  (void)n5;
-  (void)n7;
+  tree.Insert(5);
+  IntTree::Node* n3 = tree.Insert(3);
+  IntTree::Node* n8 = tree.Insert(8);
+  tree.Insert(7);
   tree.Remove(n3);  // leaf
   EXPECT_TRUE(tree.ValidateInvariants());
   tree.Remove(n8);  // inner with child
@@ -95,8 +91,7 @@ TEST_P(RbTreePropertyTest, RandomOperationsKeepInvariants) {
   for (int op = 0; op < operations; ++op) {
     if (live.empty() || rng.NextBool(0.6)) {
       const int value = static_cast<int>(rng.NextBelow(500));
-      auto [node, steps] = tree.Insert(value);
-      live.emplace(value, node);
+      live.emplace(value, tree.Insert(value));
     } else {
       auto it = live.begin();
       std::advance(it, rng.NextBelow(live.size()));
@@ -205,15 +200,6 @@ TEST(RbTreeTest, ImportPreorderRejectsASpineDeeperThanTheBound) {
   std::size_t read = 0;
   EXPECT_FALSE(ImportRecords(tree, spine.size(), spine, &read));
   EXPECT_EQ(read, 14u);
-}
-
-TEST(RbTreeTest, MoveConstruction) {
-  IntTree tree;
-  tree.Insert(1);
-  tree.Insert(2);
-  IntTree moved(std::move(tree));
-  EXPECT_EQ(moved.size(), 2u);
-  EXPECT_TRUE(moved.ValidateInvariants());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "src/fusion/engine_factory.h"
 #include "src/fusion/ksm.h"
 #include "src/fusion/vusion_engine.h"
+#include "src/fusion/wpf.h"
 #include "src/host/thread_pool.h"
 #include "src/kernel/process.h"
 #include "src/sim/latency_model.h"
@@ -40,6 +41,9 @@ std::string MakeImage(EngineKind kind = EngineKind::kKsm) {
   if (kind == EngineKind::kVUsion) {
     fusion.pool_frames = 1024;  // the default pool outsizes this machine
   }
+  if (kind == EngineKind::kWpf) {
+    fusion.wpf_period = 5 * kMillisecond;  // passes, not one per 15 minutes
+  }
   std::unique_ptr<FusionEngine> engine = MakeEngineExact(kind, machine, fusion);
   engine->Install();
   for (int p = 0; p < 3; ++p) {
@@ -61,10 +65,14 @@ std::string FlipBit(std::string buffer, std::size_t byte, int bit) {
   return buffer;
 }
 
-void WriteLeU32(std::string& buffer, std::size_t pos, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
+void WriteLe(std::string& buffer, std::size_t pos, std::uint64_t v, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
     buffer[pos + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+}
+
+void WriteLeU32(std::string& buffer, std::size_t pos, std::uint32_t v) {
+  WriteLe(buffer, pos, v, 4);
 }
 
 // Patches one payload byte and re-seals the section checksum, so the damage
@@ -92,6 +100,18 @@ std::uint64_t ReadLe(const std::string& buffer, std::size_t pos, std::size_t byt
     v |= std::uint64_t{static_cast<unsigned char>(buffer[pos + i])} << (8 * i);
   }
   return v;
+}
+
+// Cuts the payload byte at `delta` and re-seals the section's length and
+// checksum, so the decoder reads every later field of the section one byte
+// early.
+std::string CutSealedByte(std::string buffer, const snapshot::SnapshotReader::SectionInfo& s,
+                          std::size_t delta) {
+  buffer.erase(s.offset + delta, 1);
+  WriteLe(buffer, s.offset - 8, s.size - 1, 8);  // the payload length precedes it
+  WriteLeU32(buffer, s.offset + s.size - 1,
+             snapshot::Crc32(buffer.data() + s.offset, s.size - 1));
+  return buffer;
 }
 
 snapshot::SnapshotReader::SectionInfo FindSection(const std::string& buffer,
@@ -122,6 +142,12 @@ std::size_t FusionConfigRecordBytes() {
   return snapshot::SnapshotReader(bytes).sections().front().size;
 }
 
+// Every engine section opens with the common block (122 bytes with empty
+// allocation and slot logs); KSM and VUsion follow it with the scan cursor
+// (three U64s) and their stable-tree count.
+constexpr std::size_t kEngineCommonBytes = 122;
+constexpr std::size_t kStableCountDelta = kEngineCommonBytes + 24;
+
 void ExpectRestoreError(const std::string& buffer, const std::string& want_section,
                         const std::string& context) {
   try {
@@ -137,59 +163,80 @@ void ExpectRestoreError(const std::string& buffer, const std::string& want_secti
   }
 }
 
+struct EngineImage {
+  std::string name;
+  const std::string* bytes = nullptr;
+};
+
 class SnapshotCorruptionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     image_ = new std::string(MakeImage());
     vusion_image_ = new std::string(MakeImage(EngineKind::kVUsion));
+    wpf_image_ = new std::string(MakeImage(EngineKind::kWpf));
   }
   static void TearDownTestSuite() {
     delete image_;
     image_ = nullptr;
     delete vusion_image_;
     vusion_image_ = nullptr;
+    delete wpf_image_;
+    wpf_image_ = nullptr;
   }
   static const std::string& image() { return *image_; }
   // The same boot under VUsion, whose entropy pool holds frames from the
   // moment the engine is built.
   static const std::string& vusion_image() { return *vusion_image_; }
+  // The same boot under WPF, with combined pages from several passes.
+  static const std::string& wpf_image() { return *wpf_image_; }
+  // Every engine's image, for the sweeps that run over all three decoders.
+  static std::vector<EngineImage> engine_images() {
+    return {{"KSM", image_}, {"VUsion", vusion_image_}, {"WPF", wpf_image_}};
+  }
 
  private:
   static std::string* image_;
   static std::string* vusion_image_;
+  static std::string* wpf_image_;
 };
 
 std::string* SnapshotCorruptionTest::image_ = nullptr;
 std::string* SnapshotCorruptionTest::vusion_image_ = nullptr;
+std::string* SnapshotCorruptionTest::wpf_image_ = nullptr;
 
 TEST_F(SnapshotCorruptionTest, IntactImageRestores) {
   const snapshot::SnapshotInfo info = snapshot::VerifySnapshot(image());
   EXPECT_EQ(info.kind, EngineKind::kKsm);
   EXPECT_EQ(info.sections.front().name, "config");
   EXPECT_EQ(info.sections.back().name, "engine");
+  const snapshot::RestoredMachine wpf = snapshot::RestoreSnapshot(wpf_image());
+  EXPECT_GT(static_cast<const Wpf&>(*wpf.engine).combined_pages(), 0u);
 }
 
 TEST_F(SnapshotCorruptionTest, TruncationAtEverySectionBoundaryFailsClosed) {
-  const snapshot::SnapshotInfo info = snapshot::InspectSnapshot(image());
-  for (const auto& section : info.sections) {
-    // Cut at the payload start: the section's own payload is truncated.
-    ExpectRestoreError(image().substr(0, section.offset), section.name,
-                       "truncate at start of '" + section.name + "'");
-    // Cut mid-payload.
-    if (section.size > 1) {
-      ExpectRestoreError(image().substr(0, section.offset + section.size / 2), section.name,
-                         "truncate inside '" + section.name + "'");
+  for (const auto& [engine, image] : engine_images()) {
+    const snapshot::SnapshotInfo info = snapshot::InspectSnapshot(*image);
+    for (const auto& section : info.sections) {
+      const std::string where = engine + " '" + section.name + "'";
+      // Cut at the payload start: the section's own payload is truncated.
+      ExpectRestoreError(image->substr(0, section.offset), section.name,
+                         "truncate at start of " + where);
+      // Cut mid-payload.
+      if (section.size > 1) {
+        ExpectRestoreError(image->substr(0, section.offset + section.size / 2), section.name,
+                           "truncate inside " + where);
+      }
+      // Cut just before the section checksum.
+      ExpectRestoreError(image->substr(0, section.offset + section.size), section.name,
+                         "truncate before checksum of " + where);
     }
-    // Cut just before the section checksum.
-    ExpectRestoreError(image().substr(0, section.offset + section.size), section.name,
-                       "truncate before checksum of '" + section.name + "'");
-  }
-  // Cutting after a complete section leaves the next frame (or the header's
-  // section count) dangling; exact section varies, but it must fail closed.
-  for (const auto& section : info.sections) {
-    const std::string cut = image().substr(0, section.offset + section.size + 4);
-    if (cut.size() < image().size()) {
-      ExpectRestoreError(cut, "", "truncate after '" + section.name + "'");
+    // Cutting after a complete section leaves the next frame (or the header's
+    // section count) dangling; exact section varies, but it must fail closed.
+    for (const auto& section : info.sections) {
+      const std::string cut = image->substr(0, section.offset + section.size + 4);
+      if (cut.size() < image->size()) {
+        ExpectRestoreError(cut, "", "truncate after " + engine + " '" + section.name + "'");
+      }
     }
   }
 }
@@ -204,13 +251,32 @@ TEST_F(SnapshotCorruptionTest, EveryHeaderBitFlipFailsClosed) {
 }
 
 TEST_F(SnapshotCorruptionTest, PayloadBitFlipsNameTheDamagedSection) {
-  const snapshot::SnapshotInfo info = snapshot::InspectSnapshot(image());
-  for (const auto& section : info.sections) {
-    if (section.size == 0) {
-      continue;
+  for (const auto& [engine, image] : engine_images()) {
+    for (const auto& section : snapshot::InspectSnapshot(*image).sections) {
+      if (section.size == 0) {
+        continue;
+      }
+      ExpectRestoreError(FlipBit(*image, section.offset + section.size / 2, 3), section.name,
+                         "payload flip in " + engine + " '" + section.name + "'");
     }
-    ExpectRestoreError(FlipBit(image(), section.offset + section.size / 2, 3), section.name,
-                       "payload flip in '" + section.name + "'");
+  }
+}
+
+// One byte cut from a payload, with the section's length and checksum
+// re-sealed, reaches the decoders: every later field of the section shifts.
+// Whichever section then fails, or the audit, the half-restored machine is
+// discarded without freeing into its allocator. Freeing page-table nodes and
+// pool slots into it once aborted debug builds and crashed release ones.
+TEST_F(SnapshotCorruptionTest, SealedOneByteCutsFailClosed) {
+  constexpr std::size_t kCutsPerSection = 8;
+  for (const auto& [engine, image] : engine_images()) {
+    for (const auto& section : snapshot::InspectSnapshot(*image).sections) {
+      for (std::size_t k = 0; k < kCutsPerSection && k < section.size; ++k) {
+        const std::size_t delta = section.size * k / kCutsPerSection;
+        ExpectRestoreError(CutSealedByte(*image, section, delta), "",
+                           engine + " '" + section.name + "' cut at " + std::to_string(delta));
+      }
+    }
   }
 }
 
@@ -368,13 +434,115 @@ TEST_F(SnapshotCorruptionTest, StableTreeCountBehindValidChecksumRejected) {
     }
     ASSERT_GT(stable_size, 0u) << name;
     const auto engine = FindSection(buffer, "engine");
-    // The count follows the common block (122 bytes with empty allocation and
-    // slot logs) and the scan cursor (three U64s).
-    constexpr std::size_t kCountDelta = 122 + 24;
-    ASSERT_EQ(ReadLe(buffer, engine.offset + kCountDelta, 8), stable_size) << name;
-    ExpectRestoreError(PatchSealedLe(buffer, engine, kCountDelta, stable_size + 1, 8), "engine",
-                       name + " stable count + 1");
+    ASSERT_EQ(ReadLe(buffer, engine.offset + kStableCountDelta, 8), stable_size) << name;
+    ExpectRestoreError(PatchSealedLe(buffer, engine, kStableCountDelta, stable_size + 1, 8),
+                       "engine", name + " stable count + 1");
   }
+}
+
+// Frame-id range checks: a frame id past the machine's frames, re-sealed over
+// each decoded frame id, fails closed naming its section. Before the checks,
+// the engine and page-table sites crashed `savestate verify` and the buddy one
+// restored and ran.
+class FrameIdRangeTest : public SnapshotCorruptionTest {
+ protected:
+  static constexpr std::uint32_t kBadFrame = 0xFFFFFFF0u;
+
+  // Writes kBadFrame over the frame id at `delta` of `section_name`.
+  static void ExpectFrameRejected(const std::string& image, const std::string& section_name,
+                                  std::size_t delta, const std::string& context) {
+    const auto section = FindSection(image, section_name);
+    ASSERT_LE(delta + 4, section.size) << context;
+    ASSERT_LT(ReadLe(image, section.offset + delta, 4), MakeMachineConfig().frame_count)
+        << context << ": not a frame id";
+    try {
+      snapshot::RestoredMachine restored =
+          snapshot::RestoreSnapshot(PatchSealedLe(image, section, delta, kBadFrame, 4));
+      ADD_FAILURE() << context << ": out-of-range frame id restored";
+    } catch (const snapshot::RestoreError& e) {
+      EXPECT_EQ(e.section(), section_name) << context << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find("frame id " + std::to_string(kBadFrame)),
+                std::string::npos)
+          << context << ": " << e.what();
+    }
+  }
+
+  // Offset in the KSM image's engine payload of the first field after the
+  // stable entries (frame, refs, index hash, colour and two child flags).
+  static std::size_t AfterKsmStableEntries() {
+    const auto engine = FindSection(image(), "engine");
+    return kStableCountDelta + 8 + 19 * ReadLe(image(), engine.offset + kStableCountDelta, 8);
+  }
+  // The same in the VUsion image, whose entries hold a frame, a relocation
+  // round, a sharer count and a (pid, vpn) per sharer, a colour and two child
+  // flags.
+  static std::size_t AfterVUsionStableEntries() {
+    const auto engine = FindSection(vusion_image(), "engine");
+    std::size_t pos = kStableCountDelta + 8;
+    for (std::uint64_t i = ReadLe(vusion_image(), engine.offset + kStableCountDelta, 8); i > 0;
+         --i) {
+      pos += 4 + 8 + 4 + 12 * ReadLe(vusion_image(), engine.offset + pos + 12, 4) + 3;
+    }
+    return pos;
+  }
+};
+
+TEST_F(FrameIdRangeTest, KsmStableEntryFrame) {
+  ExpectFrameRejected(image(), "engine", kStableCountDelta + 8, "KSM stable entry");
+}
+
+TEST_F(FrameIdRangeTest, KsmUnstableItemFrame) {
+  const auto engine = FindSection(image(), "engine");
+  const std::size_t rmap = AfterKsmStableEntries();
+  // The rmap's (key, entry index) pairs come first.
+  const std::size_t pos = rmap + 8 + 12 * ReadLe(image(), engine.offset + rmap, 8);
+  ASSERT_GT(ReadLe(image(), engine.offset + pos, 8), 0u) << "no unstable items";
+  ExpectFrameRejected(image(), "engine", pos + 8, "KSM unstable item");
+}
+
+TEST_F(FrameIdRangeTest, VUsionStableEntryFrame) {
+  ExpectFrameRejected(vusion_image(), "engine", kStableCountDelta + 8, "VUsion stable entry");
+}
+
+TEST_F(FrameIdRangeTest, VUsionPoolSlotFrame) {
+  const auto engine = FindSection(vusion_image(), "engine");
+  const std::size_t pool = AfterVUsionStableEntries();
+  ASSERT_GT(ReadLe(vusion_image(), engine.offset + pool, 8), 0u) << "empty pool";
+  ExpectFrameRejected(vusion_image(), "engine", pool + 8, "VUsion pool slot");
+}
+
+TEST_F(FrameIdRangeTest, VUsionDeferredFrame) {
+  const auto engine = FindSection(vusion_image(), "engine");
+  const std::size_t pool = AfterVUsionStableEntries();
+  // The pool's slots, then its RNG (four U64 words, F64 spare, Bool), last
+  // slot fraction (F64) and four U64 counters.
+  const std::size_t pos =
+      pool + 8 + 4 * ReadLe(vusion_image(), engine.offset + pool, 8) + 32 + 8 + 1 + 8 + 32;
+  ASSERT_GT(ReadLe(vusion_image(), engine.offset + pos, 8), 0u) << "empty deferred queue";
+  ExpectFrameRejected(vusion_image(), "engine", pos + 8, "VUsion deferred frame");
+}
+
+TEST_F(FrameIdRangeTest, WpfCombinedEntryFrame) {
+  // WPF follows the common block with its linear allocator's cursor (a U32).
+  constexpr std::size_t kCountDelta = kEngineCommonBytes + 4;
+  const auto engine = FindSection(wpf_image(), "engine");
+  ASSERT_GT(ReadLe(wpf_image(), engine.offset + kCountDelta, 8), 0u) << "no combined entries";
+  ExpectFrameRejected(wpf_image(), "engine", kCountDelta + 8, "WPF combined entry");
+}
+
+TEST_F(FrameIdRangeTest, PageTableNodeFrame) {
+  // The first process: its next region (U64) and VMAs (U64 count, 19 bytes
+  // each), then its page table's node count (U64) and root frame.
+  const auto procs = FindSection(image(), "procs");
+  const std::size_t root = 16 + 19 * ReadLe(image(), procs.offset + 8, 8) + 8;
+  ExpectFrameRejected(image(), "procs", root, "page-table root");
+}
+
+TEST_F(FrameIdRangeTest, BuddyFreeListFrame) {
+  // The order count (U64), then order 0's length (U64) and frames.
+  const auto buddy = FindSection(image(), "buddy");
+  ASSERT_GT(ReadLe(image(), buddy.offset + 8, 8), 0u) << "empty order-0 free list";
+  ExpectFrameRejected(image(), "buddy", 16, "order-0 free list");
 }
 
 TEST_F(SnapshotCorruptionTest, DroppedTrailingSectionRejected) {

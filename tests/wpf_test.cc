@@ -58,7 +58,6 @@ TEST_F(WpfTest, MergesDuplicatesIntoNewFrame) {
   EXPECT_EQ(wpf_.frames_saved(), 1u);
   EXPECT_TRUE(wpf_.IsMerged(a, VaddrToVpn(pa)));
   EXPECT_EQ(a.Read64(pa), b.Read64(pb));
-  EXPECT_TRUE(wpf_.ValidateTrees());
 }
 
 TEST_F(WpfTest, CombinedFramesComeFromEndOfMemory) {
@@ -78,8 +77,8 @@ TEST_F(WpfTest, SecondPassJoinsExistingCombinedPage) {
   MapPages(a, {0x31, 0x31});
   wpf_.RunPassNow();
   ASSERT_EQ(wpf_.frames_saved(), 1u);
-  // A third copy appears later; next pass joins the existing AVL entry without a
-  // new allocation.
+  // A third copy appears later; next pass joins the existing combined entry
+  // without a new allocation.
   Process& b = machine_.CreateProcess();
   const VirtAddr pb = MapPages(b, {0x31});
   wpf_.RunPassNow();
